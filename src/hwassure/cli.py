@@ -906,18 +906,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psc_db)
 
     p = sub.add_parser("metrics", help="structural and statistical metric calculators")
-    p.add_argument("metric", choices=["scoap", "oh", "fsm-fi", "puf", "cdc"])
-    p.add_argument("--bench")
-    p.add_argument("--node")
-    p.add_argument("--patterns", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classical", action="store_true")
-    p.add_argument("--csv")
-    p.add_argument("--responses")
-    p.add_argument("--intra", action="store_true")
-    p.add_argument("--hex", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics)
+    metric = p.add_subparsers(dest="metric", required=True)
+    m = metric.add_parser("scoap", help="SCOAP controllability and observability")
+    m.add_argument("--bench", required=True)
+    m.add_argument("--classical", action="store_true")
+    m = metric.add_parser("oh", help="observation hardness of one net")
+    m.add_argument("--bench", required=True)
+    m.add_argument("--node", required=True)
+    m.add_argument("--patterns", type=int, default=None)
+    m.add_argument("--seed", type=int, default=0)
+    m = metric.add_parser("fsm-fi", help="FSM fault-injection vulnerability")
+    m.add_argument("--csv", required=True)
+    m = metric.add_parser("puf", help="PUF inter- or intra-chip Hamming distance")
+    m.add_argument("--responses", required=True)
+    m.add_argument("--intra", action="store_true")
+    m.add_argument("--hex", action="store_true")
+    m = metric.add_parser("cdc", help="counterfeit detection confidence over defects")
+    m.add_argument("--csv", required=True)
+    for m in metric.choices.values():
+        m.add_argument("--out")
+        m.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("report", help="summarize run records into plot-ready CSV")
     p.add_argument("--kind", choices=["sat", "psc", "metrics"], required=True)

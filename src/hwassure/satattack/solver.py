@@ -3,11 +3,22 @@
 Small but complete: two-watched-literal propagation, first-UIP clause
 learning, VSIDS-style activities with phase saving, Luby restarts, and
 solving under assumptions so the attack loop can reuse one solver while
-clauses accrue. Everything is deterministic: ties break on variable
-index and no randomness is used.
+clauses accrue. Everything is deterministic: no randomness is used.
+
+The decision order is an indexed binary heap of variables, as in MiniSat
+(Een & Sorensson, SAT 2003): ``heap`` lists variables and ``heap_pos[v]``
+gives the slot of ``v``, or -1 when ``v`` is not in the heap. The heap
+puts the higher activity first and breaks ties on the lower variable
+index, so a decision takes the most active unassigned variable and, among
+equals, the lowest-numbered one. Each variable is in the heap at most once:
+a bump sifts it up in place, backtracking re-inserts only the variables
+that are missing, and a decision pops assigned variables off the top
+until it finds an unassigned one.
 
 Literals use the DIMACS convention externally (+v / -v); internally a
-literal is encoded as 2*v (positive) or 2*v+1 (negative).
+literal is encoded as 2*v (positive) or 2*v+1 (negative), and
+``value[lit]`` is 1 when the literal is true, 0 when it is false and 2
+while its variable is unassigned.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ import os
 import subprocess
 import tempfile
 import time
-from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Sequence
 
 from .cnf import CnfFormula, to_dimacs
@@ -25,7 +35,8 @@ _UNDEF = 2
 
 
 class SolverBudgetExceeded(Exception):
-    """Raised when a conflict or wall-clock budget runs out mid-solve."""
+    """Raised when a conflict or wall-clock budget runs out mid-solve, or
+    before the search when the wall-clock budget is zero or less."""
 
 
 def _luby(i: int) -> int:
@@ -46,13 +57,14 @@ class CdclSolver:
         self.clauses: List[List[int]] = []
         self.learnts: List[List[int]] = []
         self.watches: List[List[List[int]]] = [[], []]
-        self.assigns = bytearray([_UNDEF])
+        self.value = bytearray([_UNDEF, _UNDEF])
         self.level = [0]
         self.reason: List[Optional[List[int]]] = [None]
         self.polarity = bytearray([0])
         self.activity = [0.0]
         self.seen = bytearray([0])
-        self.heap: List[tuple] = []
+        self.heap: List[int] = []
+        self.heap_pos = [-1]
         self.var_inc = 1.0
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
@@ -66,7 +78,7 @@ class CdclSolver:
 
     def new_var(self) -> int:
         self.nvars += 1
-        self.assigns.append(_UNDEF)
+        self.value.extend((_UNDEF, _UNDEF))
         self.level.append(0)
         self.reason.append(None)
         self.polarity.append(0)
@@ -74,7 +86,8 @@ class CdclSolver:
         self.seen.append(0)
         self.watches.append([])
         self.watches.append([])
-        heappush(self.heap, (0.0, self.nvars))
+        self.heap_pos.append(-1)
+        self._heap_insert(self.nvars)
         return self.nvars
 
     def ensure_vars(self, n: int) -> None:
@@ -103,10 +116,9 @@ class CdclSolver:
             if e in enc:
                 continue
             enc[e] = True
-            a = self.assigns[v]
+            a = self.value[e]
             if a != _UNDEF:
-                val = a ^ (e & 1)
-                if val:
+                if a:
                     return True  # satisfied at level 0
                 continue  # false at level 0: drop the literal
             out.append(e)
@@ -126,12 +138,77 @@ class CdclSolver:
         for clause in formula.clauses:
             self.add_clause(clause)
 
+    # -- decision heap ---------------------------------------------------------
+
+    def _heap_up(self, i: int) -> None:
+        """Move the variable in slot ``i`` towards the root to its place."""
+        heap = self.heap
+        pos = self.heap_pos
+        activity = self.activity
+        v = heap[i]
+        act = activity[v]
+        while i:
+            parent = (i - 1) >> 1
+            u = heap[parent]
+            au = activity[u]
+            if au > act or (au == act and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_down(self, i: int) -> None:
+        """Move the variable in slot ``i`` towards the leaves to its place."""
+        heap = self.heap
+        pos = self.heap_pos
+        activity = self.activity
+        n = len(heap)
+        v = heap[i]
+        act = activity[v]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            u = heap[child]
+            au = activity[u]
+            right = child + 1
+            if right < n:
+                w = heap[right]
+                aw = activity[w]
+                if aw > au or (aw == au and w < u):
+                    child, u, au = right, w, aw
+            if act > au or (act == au and v < u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_insert(self, v: int) -> None:
+        self.heap_pos[v] = len(self.heap)
+        self.heap.append(v)
+        self._heap_up(len(self.heap) - 1)
+
+    def _heap_pop(self) -> int:
+        heap = self.heap
+        top = heap[0]
+        last = heap.pop()
+        self.heap_pos[top] = -1
+        if heap:
+            heap[0] = last
+            self._heap_down(0)
+        return top
+
     # -- assignment ------------------------------------------------------------
 
     def _enqueue(self, e: int, reason: Optional[List[int]]) -> None:
         v = e >> 1
-        self.assigns[v] = (e & 1) ^ 1
-        self.polarity[v] = self.assigns[v]
+        self.value[e] = 1
+        self.value[e ^ 1] = 0
+        self.polarity[v] = (e & 1) ^ 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(e)
@@ -140,68 +217,76 @@ class CdclSolver:
         if len(self.trail_lim) <= lvl:
             return
         lim = self.trail_lim[lvl]
-        heap = self.heap
-        activity = self.activity
-        for k in range(len(self.trail) - 1, lim - 1, -1):
-            v = self.trail[k] >> 1
-            self.assigns[v] = _UNDEF
-            self.reason[v] = None
-            heappush(heap, (-activity[v], v))
-        del self.trail[lim:]
+        trail = self.trail
+        value = self.value
+        reason = self.reason
+        heap_pos = self.heap_pos
+        for k in range(len(trail) - 1, lim - 1, -1):
+            e = trail[k]
+            value[e] = value[e ^ 1] = _UNDEF
+            v = e >> 1
+            reason[v] = None
+            if heap_pos[v] < 0:
+                self._heap_insert(v)
+        del trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = lim
 
     # -- propagation -------------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
-        assigns = self.assigns
+        value = self.value
+        polarity = self.polarity
+        level = self.level
+        reason = self.reason
         watches = self.watches
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             falsified = p ^ 1
             ws = watches[falsified]
             if not ws:
                 continue
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
-                if c[0] == falsified:
-                    c[0] = c[1]
-                    c[1] = falsified
+            j = 0
+            for i, c in enumerate(ws):
                 first = c[0]
-                a0 = assigns[first >> 1]
-                if a0 != _UNDEF and (a0 ^ (first & 1)) == 1:
+                if first == falsified:
+                    first = c[1]
+                    c[0] = first
+                    c[1] = falsified
+                a0 = value[first]
+                if a0 == 1:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
-                    ak = assigns[lk >> 1]
-                    if ak == _UNDEF or (ak ^ (lk & 1)) == 1:
+                    if value[lk]:  # true or unassigned
                         c[1] = lk
                         c[k] = falsified
                         watches[lk].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if a0 != _UNDEF:
-                    # first is false too: conflict
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    return c
-                self._enqueue(first, c)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if a0 == 0:
+                        # first is false too: conflict; the clauses not yet
+                        # visited keep their watch
+                        del ws[j:i + 1]
+                        self.qhead = qhead
+                        return c
+                    value[first] = 1
+                    value[first ^ 1] = 0
+                    v = first >> 1
+                    polarity[v] = (first & 1) ^ 1
+                    level[v] = cur_level
+                    reason[v] = c
+                    trail.append(first)
             del ws[j:]
+        self.qhead = qhead
         return None
 
     # -- learning ---------------------------------------------------------------
@@ -210,14 +295,16 @@ class CdclSolver:
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         if act > 1e100:
+            activity = self.activity
             for i in range(1, self.nvars + 1):
-                self.activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[v2], v2) for v2 in range(1, self.nvars + 1)
-                         if self.assigns[v2] == _UNDEF]
-            self.heap.sort()
-        else:
-            heappush(self.heap, (-act, v))
+            # scaling keeps the order but can turn near-equal activities
+            # into ties, which the index then breaks: restore the heap
+            for i in range(len(self.heap) // 2 - 1, -1, -1):
+                self._heap_down(i)
+        elif self.heap_pos[v] >= 0:
+            self._heap_up(self.heap_pos[v])
 
     def _analyze(self, confl: List[int]) -> tuple:
         learnt = [0]
@@ -296,14 +383,13 @@ class CdclSolver:
     # -- search -------------------------------------------------------------------
 
     def _pick_branch(self) -> Optional[int]:
+        # every unassigned variable is in the heap, so an empty heap means
+        # a full assignment
         heap = self.heap
-        assigns = self.assigns
+        value = self.value
         while heap:
-            _, v = heappop(heap)
-            if assigns[v] == _UNDEF:
-                return v
-        for v in range(1, self.nvars + 1):
-            if assigns[v] == _UNDEF:
+            v = self._heap_pop()
+            if value[v << 1] == _UNDEF:
                 return v
         return None
 
@@ -314,8 +400,11 @@ class CdclSolver:
         time_budget_s: Optional[float] = None,
     ) -> bool:
         """Solve under assumptions. True: self.model holds an assignment.
-        False: unsatisfiable under the assumptions (self.model is None)."""
+        False: unsatisfiable under the assumptions (self.model is None).
+        A time budget of zero or less raises SolverBudgetExceeded at once."""
         self.model = None
+        if time_budget_s is not None and time_budget_s <= 0:
+            raise SolverBudgetExceeded(f"time budget {time_budget_s} s is not positive")
         self._cancel_until(0)
         if not self.ok:
             return False
@@ -326,7 +415,7 @@ class CdclSolver:
         restart_num = 1
         restart_limit = 100 * _luby(restart_num)
         since_restart = 0
-        deadline = time.monotonic() + time_budget_s if time_budget_s else None
+        deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
 
         while True:
             confl = self._propagate()
@@ -368,10 +457,9 @@ class CdclSolver:
             lvl = len(self.trail_lim)
             if lvl < len(assumps):
                 a = assumps[lvl]
-                v = a >> 1
-                st = self.assigns[v]
+                st = self.value[a]
                 if st != _UNDEF:
-                    if st ^ (a & 1):
+                    if st:
                         self.trail_lim.append(len(self.trail))
                         continue
                     self._cancel_until(0)
@@ -382,10 +470,7 @@ class CdclSolver:
 
             v = self._pick_branch()
             if v is None:
-                self.model = [None] + [
-                    self.assigns[i] == 1 if self.assigns[i] != _UNDEF else False
-                    for i in range(1, self.nvars + 1)
-                ]
+                self.model = [None] + [self.value[i << 1] == 1 for i in range(1, self.nvars + 1)]
                 self._cancel_until(0)
                 return True
             self.trail_lim.append(len(self.trail))

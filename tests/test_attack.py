@@ -74,6 +74,22 @@ def test_attack_is_deterministic():
     assert runs[0] == runs[1]
 
 
+
+@pytest.mark.parametrize(
+    "key_length, cr, iterations, key",
+    [(6, 1, 2, "011000"), (10, 4, 3, "0010000000")],
+)
+def test_platform_attack_decisions_are_pinned(key_length, cr, iterations, key):
+    # recorded before the solver's decision heap became an indexed heap:
+    # any change to the decision order would show here as another DIP
+    # sequence, iteration count or recovered key
+    circ = load_bundled("rs280")
+    model, oracle, _ = build_platform_instance(circ, key_length=key_length, cr=cr, seed=0)
+    res = sat_attack(model, oracle, verify=False)
+    assert res.status == "success"
+    assert (res.iterations, res.recovered_key.as_string()) == (iterations, key)
+
+
 def test_unlockable_site_yields_trivial_attack():
     # a key gate on a net no output can see leaves every key correct:
     # the miter is unsatisfiable at once and any key verifies

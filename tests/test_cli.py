@@ -220,6 +220,24 @@ def test_metrics_commands(tmp_path):
     assert abs(read_json(cdc_out)["value"] - 72.5) < 1e-9
 
 
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["metrics", "scoap"], "--bench"),
+        (["metrics", "oh"], "--bench, --node"),
+        (["metrics", "oh", "--bench", "pkg:c17"], "--node"),
+        (["metrics", "fsm-fi"], "--csv"),
+        (["metrics", "puf"], "--responses"),
+        (["metrics", "cdc"], "--csv"),
+    ],
+)
+def test_metrics_missing_input_is_a_usage_error(argv, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
 def test_report_empty_and_sorted(tmp_path):
     records = tmp_path / "records"
     records.mkdir()

@@ -127,3 +127,81 @@ def test_tautologies_and_duplicate_literals_are_normalized():
     assert s.solve([-2, -3]) is False
     assert s.solve([-2]) is True
     assert s.model[3] is True
+
+
+@pytest.mark.parametrize("budget", [0, 0.0, -1.5])
+def test_non_positive_time_budget_raises_before_search(budget):
+    s = CdclSolver()
+    s.add_clause([1, 2])
+    with pytest.raises(SolverBudgetExceeded):
+        s.solve([-1], time_budget_s=budget)
+    assert s.model is None and s.trail == []
+    # the instance is untouched and still answers without a budget
+    assert s.solve([-1]) is True and s.model[2] is True
+    with pytest.raises(SolverBudgetExceeded):
+        sat_solve(CnfFormula(2, [(1, 2)]), time_budget_s=budget)
+
+
+# Recorded with the lazy heapq decision order that the indexed heap
+# replaced: the same decisions give the same conflict count and model.
+@pytest.mark.parametrize(
+    "seed, num_vars, num_clauses, conflicts, model_bits",
+    [
+        (12, 80, 330, 69,
+         "01111001111000101000001100001001011011000000111011011000010001101000110000011000"),
+        (13, 100, 410, 334,
+         "1010101110000011110101011110001000000010101101010010110101111110"
+         "011101100001001100011111000111011001"),
+    ],
+)
+def test_decision_order_is_pinned(seed, num_vars, num_clauses, conflicts, model_bits):
+    clauses = random_3cnf(random.Random(seed), num_vars, num_clauses)
+    s = CdclSolver()
+    for c in clauses:
+        s.add_clause(c)
+    assert s.solve([]) is True
+    assert s.conflicts_total == conflicts
+    assert "".join("1" if b else "0" for b in s.model[1:]) == model_bits
+
+
+def assert_heap_invariant(s):
+    heap, pos, act = s.heap, s.heap_pos, s.activity
+    assert len(heap) <= s.nvars
+    assert len(set(heap)) == len(heap)
+    for i, v in enumerate(heap):
+        assert pos[v] == i
+        if i:
+            u = heap[(i - 1) >> 1]
+            assert act[u] > act[v] or (act[u] == act[v] and u < v)
+    in_heap = set(heap)
+    for v in range(1, s.nvars + 1):
+        assert (pos[v] >= 0) == (v in in_heap)
+        if s.value[2 * v] == 2:  # unassigned
+            assert v in in_heap
+
+
+def test_decision_heap_invariant_across_incremental_solves():
+    rng = random.Random(31)
+    rescaled = 0
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        clauses = random_3cnf(rng, n, rng.randint(3 * n, 6 * n))
+        s = CdclSolver()
+        s.ensure_vars(n)
+        added = []
+        for step in range(4):
+            added.extend(clauses[step::4])
+            for c in clauses[step::4]:
+                s.add_clause(c)
+            if step == 2:
+                s.var_inc = 1e100  # the next bumps cross the rescale threshold
+            assumptions = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 2)]
+            ok = s.solve(assumptions)
+            constrained = added + [(a,) for a in assumptions]
+            assert ok == brute_force_sat(n, constrained)
+            if ok:
+                assert model_satisfies(s.model, constrained)
+            if step == 2 and s.var_inc < 1e100:
+                rescaled += 1
+            assert_heap_invariant(s)
+    assert rescaled > 0
