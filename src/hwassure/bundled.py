@@ -29,16 +29,6 @@ def load_bundled(name: str) -> Circuit:
     return parse_bench(bundled_bench_text(name), name=name)
 
 
-def resolve_bench_path(spec: str) -> str:
-    """Resolve 'pkg:NAME' references to the bundled file path; pass others through."""
-    if spec.startswith("pkg:"):
-        res = importlib.resources.files("hwassure") / "data" / f"{spec[4:]}.bench"
-        if not res.is_file():
-            raise FileNotFoundError(f"no bundled bench named {spec[4:]!r}")
-        return str(res)
-    return spec
-
-
 def load_bench_ref(spec: str) -> Circuit:
     """Load a circuit from a 'pkg:NAME' reference or a filesystem path."""
     if spec.startswith("pkg:"):

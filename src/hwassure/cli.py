@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .assurance_metrics import (
 )
 from .bundled import load_bench_ref
 from .locking import insert_random_locking, save_locked
-from .netlist import extract_metadata, save_bench
+from .netlist import Circuit, CircuitMetadata, extract_metadata, save_bench
 from .platform_model import ScanTopology, compose_platform_frame, frame
 from .powersim import (
     PER_CYCLE,
@@ -65,6 +65,8 @@ from .sat_estimation import (
     build_model,
     estimate_attack_time,
     load_model,
+    metadata_from_dict,
+    metadata_to_dict,
     records_from_csv,
     records_to_csv,
     save_model,
@@ -220,8 +222,14 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _attack_job(job: Dict[str, object]) -> Dict[str, object]:
-    circuit = load_bench_ref(str(job["bench"]))
+def _locked_metadata(circuit: Circuit, key_length: int, seed: int) -> CircuitMetadata:
+    """Interface metadata of the IP locked with ``seed``; the key inputs do
+    not count as primary inputs."""
+    locked = insert_random_locking(circuit, key_length, seed=seed)
+    return extract_metadata(locked.core, key_length=key_length, exclude_inputs=locked.key_inputs)
+
+
+def _attack_record(circuit: Circuit, job: Dict[str, object]) -> Dict[str, object]:
     key_length = int(job["key_length"])
     cr = int(job["cr"])
     seed = int(job["seed"])
@@ -237,74 +245,75 @@ def _attack_job(job: Dict[str, object]) -> Dict[str, object]:
     )
     record = attack_report(result, circuit.name, key_length, cr, seed=seed)
     record["kind"] = "sat-attack"
-    ip_locked = insert_random_locking(circuit, key_length, seed=seed)
-    md = extract_metadata(
-        ip_locked.core, key_length=key_length, exclude_inputs=ip_locked.key_inputs
-    )
-    record["instance"] = {
-        "name": md.name,
-        "key_length": md.key_length,
-        "num_gates": md.num_gates,
-        "num_pi": md.num_primary_inputs,
-        "num_po": md.num_primary_outputs,
-        "num_ffio": md.num_flip_flop_io,
-    }
+    record["instance"] = metadata_to_dict(_locked_metadata(circuit, key_length, seed))
     return record
 
 
-ROLLUP_HEADER = "design,key_length,cr,seed,iterations,status,verified,elapsed_s"
+def _attack_job(job: Dict[str, object]) -> Dict[str, object]:
+    """One grid cell of a batch. A cell the library rejects becomes a record
+    with status ``error`` so that the other cells still run."""
+    circuit = load_bench_ref(str(job["bench"]))
+    try:
+        return _attack_record(circuit, job)
+    except ValueError as exc:
+        return {
+            "kind": "sat-attack",
+            "design": circuit.name,
+            "key_length": job["key_length"],
+            "cr": job["cr"],
+            "seed": job["seed"],
+            "status": "error",
+            "message": str(exc),
+        }
+
+
+def _attack_record_name(record: Dict[str, object]) -> str:
+    return (
+        f"attack_{record['design']}_k{record['key_length']}"
+        f"_cr{record['cr']}_s{record['seed']}.json"
+    )
+
+
+ATTACK_CSV_COLUMNS = (
+    "design", "key_length", "cr", "seed", "iterations", "status", "verified", "elapsed_s"
+)
+
+
+def _flat(value: object) -> object:
+    return "" if value is None else value
+
+
+def _attack_csv(records: Sequence[Dict[str, object]]) -> str:
+    """One row per attack record: ``rollup.csv`` and ``report --kind sat``."""
+    lines = [",".join(ATTACK_CSV_COLUMNS)]
+    lines.extend(",".join(str(_flat(r.get(c))) for c in ATTACK_CSV_COLUMNS) for r in records)
+    return "\n".join(lines) + "\n"
 
 
 def _write_attack_outputs(records: List[Dict[str, object]], out_dir: str) -> None:
     _ensure_dir(out_dir)
-    rollup = [ROLLUP_HEADER]
-    measurements: List[ExperimentRecord] = []
-    from .netlist import CircuitMetadata
-
     for rec in records:
-        name = f"attack_{rec['design']}_k{rec['key_length']}_cr{rec['cr']}_s{rec['seed']}.json"
-        _write_json(os.path.join(out_dir, name), rec)
-        rollup.append(
-            ",".join(
-                str(rec[k])
-                for k in (
-                    "design",
-                    "key_length",
-                    "cr",
-                    "seed",
-                    "iterations",
-                    "status",
-                    "verified",
-                    "elapsed_s",
-                )
-            )
-        )
-        if rec["status"] == "success":
-            inst = rec["instance"]
-            md = CircuitMetadata(
-                name=str(inst["name"]),
-                key_length=int(inst["key_length"]),
-                num_gates=int(inst["num_gates"]),
-                num_primary_inputs=int(inst["num_pi"]),
-                num_primary_outputs=int(inst["num_po"]),
-                num_flip_flop_io=int(inst["num_ffio"]),
-            )
-            measurements.append(
-                ExperimentRecord(
-                    metadata=md,
-                    cr=float(rec["cr"]),
-                    elapsed_seconds=max(float(rec["elapsed_s"]), 1e-6),
-                    iterations=int(rec["iterations"]),
-                )
-            )
+        _write_json(os.path.join(out_dir, _attack_record_name(rec)), rec)
     with open(os.path.join(out_dir, "rollup.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rollup) + "\n")
+        fh.write(_attack_csv(records))
+    measurements = [
+        ExperimentRecord(
+            metadata=metadata_from_dict(rec["instance"]),
+            cr=float(rec["cr"]),
+            elapsed_seconds=max(float(rec["elapsed_s"]), 1e-6),
+            iterations=int(rec["iterations"]),
+        )
+        for rec in records
+        if rec["status"] == "success"
+    ]
     if measurements:
         with open(os.path.join(out_dir, "measurements.csv"), "w", encoding="utf-8") as fh:
             fh.write(records_to_csv(measurements))
 
 
 def _batch_jobs(config: Dict[str, object]) -> List[Dict[str, object]]:
+    if not isinstance(config, dict):
+        raise ValueError("attack config must be a JSON object")
     for field in ("benches", "key_lengths", "crs", "seeds"):
         value = config.get(field)
         if not isinstance(value, list) or not value:
@@ -332,12 +341,8 @@ def _batch_jobs(config: Dict[str, object]) -> List[Dict[str, object]]:
 
 def cmd_attack(args) -> int:
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-            jobs = _batch_jobs(config)
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"invalid attack config: {exc}")
+        with open(args.config, encoding="utf-8") as fh:
+            jobs = _batch_jobs(json.load(fh))
         out_dir = _out_root(args.out)
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -353,7 +358,7 @@ def cmd_attack(args) -> int:
         for rec in failures:
             print(
                 f"failed: {rec['design']} k={rec['key_length']} cr={rec['cr']} "
-                f"seed={rec['seed']} status={rec['status']}",
+                f"seed={rec['seed']} status={rec['status']} {rec.get('message', '')}".rstrip(),
                 file=sys.stderr,
             )
         return 1 if failures else 0
@@ -369,22 +374,15 @@ def cmd_attack(args) -> int:
         "max_iterations": args.max_iterations,
         "channels": args.channels,
     }
-    record = _attack_job(job)
-    name = (
-        f"attack_{record['design']}_k{record['key_length']}"
-        f"_cr{record['cr']}_s{record['seed']}.json"
-    )
-    _emit(record, args.out, default_name=name)
+    record = _attack_record(load_bench_ref(args.bench), job)
+    _emit(record, args.out, default_name=_attack_record_name(record))
     return 0 if record["status"] == "success" else 1
 
 
 def cmd_sat_fit(args) -> int:
-    try:
-        with open(args.csv, encoding="utf-8") as fh:
-            records = records_from_csv(fh.read())
-        model = build_model(records, max_submodels=args.max_submodels)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot fit model: {exc}")
+    with open(args.csv, encoding="utf-8") as fh:
+        records = records_from_csv(fh.read())
+    model = build_model(records, max_submodels=args.max_submodels)
     save_model(model, args.out)
     _emit(
         {
@@ -399,15 +397,9 @@ def cmd_sat_fit(args) -> int:
 
 
 def cmd_sat_estimate(args) -> int:
-    try:
-        model = load_model(args.model)
-        circuit = load_bench_ref(args.bench)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    locked = insert_random_locking(circuit, args.key_length, seed=args.seed)
-    md = extract_metadata(
-        locked.core, key_length=args.key_length, exclude_inputs=locked.key_inputs
-    )
+    model = load_model(args.model)
+    circuit = load_bench_ref(args.bench)
+    md = _locked_metadata(circuit, args.key_length, args.seed)
     estimate = estimate_attack_time(model, md, args.cr, args.ip_seconds)
     record = {
         "kind": "sat-estimate",
@@ -426,10 +418,7 @@ def _per_encryption_view(profile: SwitchingProfile, cycles: int) -> np.ndarray:
 
 
 def cmd_psc_measure(args) -> int:
-    try:
-        config, _ = load_subsystem_config_file(args.config)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"invalid subsystem config: {exc}")
+    config, _ = load_subsystem_config_file(args.config)
     out_dir = _out_root(args.out)
     _ensure_dir(out_dir)
     cycles = config.cycles_per_encryption
@@ -484,11 +473,8 @@ def cmd_psc_measure(args) -> int:
 
 
 def cmd_psc_estimate(args) -> int:
-    try:
-        config, _ = load_subsystem_config_file(args.config)
-        db = load_profile_db(args.db)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    config, _ = load_subsystem_config_file(args.config)
+    db = load_profile_db(args.db)
     (aes1, _), (aes2, _) = simulate_key_pair(
         SubsystemConfig(), args.seed, args.plaintexts
     )
@@ -507,10 +493,7 @@ def cmd_psc_estimate(args) -> int:
 
 
 def cmd_psc_db(args) -> int:
-    try:
-        circuits = [load_bench_ref(ref) for ref in args.benches.split(",")]
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    circuits = [load_bench_ref(ref) for ref in args.benches.split(",")]
     db = build_profile_db(circuits, windows=args.windows, seed=args.seed)
     save_profile_db(db, args.out)
     _emit(
@@ -605,31 +588,24 @@ _REPORT_FAMILY = {
 
 
 def _report_rows(kind: str, records: List[Dict[str, object]]) -> str:
-    def flat(value):
-        return "" if value is None else value
-
     if kind == "sat":
-        header = "design,key_length,cr,seed,iterations,status,verified,elapsed_s"
-        rows = sorted(
-            (r for r in records if r.get("kind") == "sat-attack"),
-            key=lambda r: (r["design"], r["key_length"], r["cr"], r.get("seed", 0)),
+        return _attack_csv(
+            sorted(
+                (r for r in records if r.get("kind") == "sat-attack"),
+                key=lambda r: (r["design"], r["key_length"], r["cr"], r.get("seed", 0)),
+            )
         )
-        lines = [header] + [
-            f"{r['design']},{r['key_length']},{r['cr']},{flat(r.get('seed'))},"
-            f"{r['iterations']},{r['status']},{r['verified']},{r['elapsed_s']}"
-            for r in rows
-        ]
-    elif kind == "psc":
+    if kind == "psc":
         header = "record,js,score,plaintexts,seed"
         rows = sorted(records, key=lambda r: (r["kind"], r.get("seed", 0)))
         lines = [header] + [
-            f"{r['kind']},{r['js']},{r['score']},{r['plaintexts']},{flat(r.get('seed'))}"
+            f"{r['kind']},{r['js']},{r['score']},{r['plaintexts']},{_flat(r.get('seed'))}"
             for r in rows
         ]
     else:
         header = "metric,value"
         rows = sorted(records, key=lambda r: r["metric"])
-        lines = [header] + [f"{r['metric']},{flat(r.get('value'))}" for r in rows]
+        lines = [header] + [f"{r['metric']},{_flat(r.get('value'))}" for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -674,8 +650,6 @@ DEMO_SERIES = {
 
 
 def _demo_measurement_records() -> List[ExperimentRecord]:
-    from .netlist import CircuitMetadata
-
     records = []
     for i, (name, series) in enumerate(sorted(DEMO_SERIES.items())):
         md = CircuitMetadata(
@@ -942,9 +916,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; a library error on bad input becomes exit code 2.
+
+    ``NetlistError`` and ``BenchParseError`` are ``ValueError``s; a missing
+    file is an ``OSError``; a config entry without a required field is a
+    ``KeyError``.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, KeyError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

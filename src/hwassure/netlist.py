@@ -423,12 +423,3 @@ def extract_metadata(
         num_flip_flop_io=len(circuit.flip_flops),
     )
 
-
-METADATA_CSV_HEADER = "name,keyLength,numGates,numPI,numPO,numFFIO"
-
-
-def metadata_csv_row(md: CircuitMetadata) -> str:
-    return (
-        f"{md.name},{md.key_length},{md.num_gates},"
-        f"{md.num_primary_inputs},{md.num_primary_outputs},{md.num_flip_flop_io}"
-    )

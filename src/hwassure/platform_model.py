@@ -13,7 +13,7 @@ which is what a SAT attack needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .netlist import Circuit, Gate, NetlistError, make_circuit
 
@@ -193,46 +193,3 @@ def compose_platform_frame(fm: FrameModel, topology: ScanTopology) -> Circuit:
         tuple(orig_pos) + tuple(scan_outs),
     )
 
-
-def stitch_frames(fm: FrameModel, cycles: int) -> Circuit:
-    """Unroll a frame over several functional cycles.
-
-    Copy t's state inputs are fed by copy t-1's state outputs; cycle-0
-    state, per-cycle PIs, and per-cycle POs are exposed with _t{t}
-    suffixes. Useful for multi-cycle reasoning; the attack path uses
-    single frames only.
-    """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
-    base = fm.frame
-    n_orig_pi = len(base.primary_inputs) - fm.ff_count
-    n_orig_po = len(base.primary_outputs) - fm.ff_count
-    specs: List[Tuple[str, str, Sequence[str]]] = []
-    pis: List[str] = [f"{q}_t0" for q in fm.ff_input_order]
-    pos: List[str] = []
-
-    def net_name(net: str, t: int, state_in: Dict[str, str]) -> str:
-        if net in state_in:
-            return state_in[net]
-        return f"{net}_t{t}"
-
-    prev_state = {q: f"{q}_t0" for q in fm.ff_input_order}
-    for t in range(cycles):
-        for pi in base.primary_inputs[:n_orig_pi]:
-            pis.append(f"{pi}_t{t}")
-        for g in base.gates:
-            specs.append(
-                (
-                    f"{g.output}_t{t}",
-                    g.kind,
-                    [net_name(n, t, prev_state) for n in g.inputs],
-                )
-            )
-        for po in base.primary_outputs[:n_orig_po]:
-            pos.append(f"{po}_t{t}")
-        prev_state = {
-            q: net_name(d, t, prev_state)
-            for q, d in zip(fm.ff_input_order, fm.ff_output_order)
-        }
-    pos.extend(prev_state[q] for q in fm.ff_input_order)
-    return make_circuit(f"{base.name}_x{cycles}", specs, pis, pos)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,20 +26,6 @@ PER_CYCLE = "per-cycle"
 GRANULARITIES = (PER_ENCRYPTION, PER_CYCLE)
 
 AES_BLOCK_NAME = "aes"
-
-
-@dataclass(frozen=True)
-class ToggleTrace:
-    per_cycle: Tuple[int, ...]
-    per_block: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.per_cycle):
-            raise ValueError("toggle counts cannot be negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_cycle)
 
 
 @dataclass(frozen=True)
@@ -88,41 +74,6 @@ class SubsystemConfig:
         if self.scheduler is None:
             return np.ones((len(self.noise_ips), self.cycles_per_encryption), dtype=np.int64)
         return np.asarray(self.scheduler, dtype=np.int64)
-
-
-def simulate_circuit_toggles(
-    circuit: Circuit,
-    stimulus_seed: int,
-    cycles: int,
-    stimulus: Optional[Callable[[int], Mapping[str, int]]] = None,
-) -> ToggleTrace:
-    """Continuous simulation from the all-zero reset state.
-
-    Each cycle applies a fresh uniform random vector to the primary
-    inputs (``stimulus`` overrides chosen inputs per cycle), steps the
-    flip-flops once, and counts every net whose value changed. The random
-    stream is consumed per cycle in primary-input order, so traces are
-    reproducible per seed.
-    """
-    if cycles < 1:
-        raise ValueError("need at least one cycle")
-    rng = np.random.default_rng(stimulus_seed)
-    nets = list(circuit.nets())
-    prev = {n: 0 for n in nets}
-    state = {ff.output: np.zeros(1, dtype=np.uint8) for ff in circuit.flip_flops}
-    per_cycle = []
-    for t in range(cycles):
-        override = stimulus(t) if stimulus is not None else {}
-        pis = {}
-        for pi in circuit.primary_inputs:
-            if pi in override:
-                pis[pi] = np.full(1, int(override[pi]) & 1, dtype=np.uint8)
-            else:
-                pis[pi] = rng.integers(0, 2, size=1, dtype=np.uint8)
-        vals, state = batch_evaluate(circuit, pis, state, all_nets=True)
-        per_cycle.append(sum(int(int(vals[n][0]) != prev[n]) for n in nets))
-        prev = {n: int(vals[n][0]) for n in nets}
-    return ToggleTrace(tuple(per_cycle))
 
 
 def windowed_toggle_samples(
@@ -179,15 +130,18 @@ def _unique_block_names(config: SubsystemConfig) -> List[str]:
 
 def simulate_subsystem(
     config: SubsystemConfig,
-    key: bytes,
+    keys: Sequence[bytes],
     plaintexts: Sequence[bytes],
     granularity: str = PER_ENCRYPTION,
-) -> Tuple[SwitchingProfile, Dict[str, SwitchingProfile]]:
-    """Collect the subsystem profile and its per-block decomposition.
+) -> List[Tuple[SwitchingProfile, Dict[str, SwitchingProfile]]]:
+    """Collect the subsystem profile and its per-block decomposition, one
+    pair per key, every key encrypting the same plaintexts.
 
     The subsystem sample is, by construction, the sum of the block
     samples at every cycle: the AES core's register toggles plus each
-    noise circuit's toggles wherever the scheduler marks it active.
+    noise circuit's toggles wherever the scheduler marks it active. The
+    noise circuits never see the key, so each one is simulated once and
+    its samples are shared by every key.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}")
@@ -195,23 +149,38 @@ def simulate_subsystem(
     if n == 0:
         raise ValueError("need at least one plaintext")
     cyc = config.cycles_per_encryption
-    mats: List[Tuple[str, np.ndarray]] = []
-    if config.aes_core:
-        _, aes_toggles = aes128_encrypt_batch(key, plaintexts)
-        mats.append((AES_BLOCK_NAME, aes_toggles))
-    mask = config.scheduler_mask()
-    for i, ((circ, seed), name) in enumerate(zip(config.noise_ips, _unique_block_names(config))):
-        mats.append((name, windowed_toggle_samples(circ, seed, n, cyc) * mask[i]))
 
-    total = np.zeros((n, cyc), dtype=np.int64)
-    for _, mat in mats:
-        total += mat
-
-    def to_profile(mat: np.ndarray) -> SwitchingProfile:
+    def samples_of(mat: np.ndarray) -> Tuple[int, ...]:
         samples = mat.sum(axis=1) if granularity == PER_ENCRYPTION else mat.reshape(-1)
-        return SwitchingProfile(tuple(int(s) for s in samples), key.hex(), granularity)
+        return tuple(int(s) for s in samples)
 
-    return to_profile(total), {name: to_profile(mat) for name, mat in mats}
+    mask = config.scheduler_mask()
+    noise_total = np.zeros((n, cyc), dtype=np.int64)
+    noise_samples: Dict[str, Tuple[int, ...]] = {}
+    for i, ((circ, seed), name) in enumerate(zip(config.noise_ips, _unique_block_names(config))):
+        mat = windowed_toggle_samples(circ, seed, n, cyc) * mask[i]
+        noise_total += mat
+        noise_samples[name] = samples_of(mat)
+
+    runs = []
+    for key in keys:
+        block_samples: Dict[str, Tuple[int, ...]] = {}
+        total = noise_total
+        if config.aes_core:
+            _, aes_toggles = aes128_encrypt_batch(key, plaintexts)
+            block_samples[AES_BLOCK_NAME] = samples_of(aes_toggles)
+            total = noise_total + aes_toggles
+        block_samples.update(noise_samples)
+        runs.append(
+            (
+                SwitchingProfile(samples_of(total), key.hex(), granularity),
+                {
+                    name: SwitchingProfile(samples, key.hex(), granularity)
+                    for name, samples in block_samples.items()
+                },
+            )
+        )
+    return runs
 
 
 def profiles_to_csv(

@@ -1,8 +1,9 @@
 """Power side-channel measurement and fast estimation.
 
-Measurement simulates a subsystem twice, once per key of a maximum
-Hamming-distance pair, and scores the binned Jensen-Shannon divergence
-between the two switching-activity sample sets. Estimation skips the
+Measurement simulates the crypto core once per key of a maximum
+Hamming-distance pair, and the key-independent noise circuits once, and
+scores the binned Jensen-Shannon divergence between the two
+switching-activity sample sets. Estimation skips the
 noise-circuit simulation: each noise block is mapped by structural
 attributes onto a pre-simulated benchmark profile database, composite
 samples are synthesized by adding profile draws to the crypto core's
@@ -257,12 +258,11 @@ def simulate_key_pair(
 ]:
     """One plaintext batch simulated under each key of the pair.
 
-    The noise circuits replay identical stimulus in both runs; only the
-    crypto core's toggles change with the key.
+    The noise circuits are simulated once and shared by both runs; only
+    the crypto core's toggles change with the key.
     """
     plaintexts = generate_plaintexts(plaintext_seed, count)
-    run1 = simulate_subsystem(config, key_pair[0], plaintexts, granularity)
-    run2 = simulate_subsystem(config, key_pair[1], plaintexts, granularity)
+    run1, run2 = simulate_subsystem(config, key_pair, plaintexts, granularity)
     return run1, run2
 
 

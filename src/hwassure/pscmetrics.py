@@ -126,30 +126,6 @@ def snr(signal_samples: Sequence[float], noise_samples: Sequence[float]) -> floa
     return float(s.var()) / noise_var
 
 
-def scv(mean_power_hi: float, mean_power_hj: float, noise_power: float) -> float:
-    """Side-channel vulnerability: class-mean separation over noise power."""
-    if noise_power == 0.0:
-        raise ValueError("noise power is zero")
-    return (mean_power_hi - mean_power_hj) / noise_power
-
-
-def mtd_relative(snr_value: float, rho0: float) -> float:
-    """Relative measurements-to-disclosure: proportional to 1/(SNR * rho0^2)."""
-    if snr_value <= 0:
-        raise ValueError("SNR must be positive")
-    if not 0 < abs(rho0) <= 1:
-        raise ValueError("correlation must lie in (0, 1]")
-    return 1.0 / (snr_value * rho0 * rho0)
-
-
-def success_rate(successes: int, attempts: int) -> float:
-    if attempts < 1:
-        raise ValueError("need at least one attempt")
-    if not 0 <= successes <= attempts:
-        raise ValueError("successes must lie between 0 and attempts")
-    return successes / attempts
-
-
 @dataclass(frozen=True)
 class ScoreThresholds:
     """Descending JS cut points; scores 1..5 from least to most secure.
@@ -249,22 +225,3 @@ def js_matrix_csv(matrix: Mapping[str, Sequence[float]], block_order: Sequence[s
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
-
-def metric_report(
-    metric: str,
-    value: float,
-    params: Mapping[str, object],
-    thresholds: Optional[ScoreThresholds] = None,
-) -> Dict[str, object]:
-    """JSON-ready record; score thresholds ride along when relevant."""
-    rec: Dict[str, object] = {
-        "metric": metric,
-        "value": value,
-        "params": dict(params),
-    }
-    if thresholds is not None:
-        rec["threshold_profile"] = {
-            "cuts": list(thresholds.cuts),
-            "note": "artifact-default calibration; configurable",
-        }
-    return rec

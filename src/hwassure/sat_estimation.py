@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,31 @@ def build_model(
 # -- dataset and model files ---------------------------------------------------
 
 
+def metadata_to_dict(md: CircuitMetadata) -> Dict[str, object]:
+    """Metadata under the dataset CSV's column names, as stored in model
+    files and attack records."""
+    return {
+        "name": md.name,
+        "key_length": md.key_length,
+        "num_gates": md.num_gates,
+        "num_pi": md.num_primary_inputs,
+        "num_po": md.num_primary_outputs,
+        "num_ffio": md.num_flip_flop_io,
+    }
+
+
+def metadata_from_dict(d: Mapping[str, object]) -> CircuitMetadata:
+    """Inverse of ``metadata_to_dict``; accepts the strings of a CSV row."""
+    return CircuitMetadata(
+        name=str(d["name"]),
+        key_length=int(d["key_length"]),
+        num_gates=int(d["num_gates"]),
+        num_primary_inputs=int(d["num_pi"]),
+        num_primary_outputs=int(d["num_po"]),
+        num_flip_flop_io=int(d["num_ffio"]),
+    )
+
+
 def record_csv_row(rec: ExperimentRecord) -> str:
     md = rec.metadata
     cr = int(rec.cr) if float(rec.cr).is_integer() else rec.cr
@@ -230,47 +255,22 @@ def records_from_csv(text: str) -> List[ExperimentRecord]:
         raise ValueError(f"dataset header must be {DATASET_CSV_HEADER!r}")
     out = []
     for row in reader:
-        md = CircuitMetadata(
-            name=row["name"],
-            key_length=int(row["key_length"]),
-            num_gates=int(row["num_gates"]),
-            num_primary_inputs=int(row["num_pi"]),
-            num_primary_outputs=int(row["num_po"]),
-            num_flip_flop_io=int(row["num_ffio"]),
-        )
         out.append(
-            ExperimentRecord(md, float(row["cr"]), float(row["elapsed_s"]), int(row["iterations"]))
+            ExperimentRecord(
+                metadata_from_dict(row),
+                float(row["cr"]),
+                float(row["elapsed_s"]),
+                int(row["iterations"]),
+            )
         )
     return out
-
-
-def _metadata_to_dict(md: CircuitMetadata) -> Dict[str, object]:
-    return {
-        "name": md.name,
-        "key_length": md.key_length,
-        "num_gates": md.num_gates,
-        "num_pi": md.num_primary_inputs,
-        "num_po": md.num_primary_outputs,
-        "num_ffio": md.num_flip_flop_io,
-    }
-
-
-def _metadata_from_dict(d: Dict[str, object]) -> CircuitMetadata:
-    return CircuitMetadata(
-        name=str(d["name"]),
-        key_length=int(d["key_length"]),
-        num_gates=int(d["num_gates"]),
-        num_primary_inputs=int(d["num_pi"]),
-        num_primary_outputs=int(d["num_po"]),
-        num_flip_flop_io=int(d["num_ffio"]),
-    )
 
 
 def model_to_json(model: EstimationModel) -> str:
     payload = {
         "feature_scales": list(model.feature_scales),
         "sub_models": [
-            {"metadata": _metadata_to_dict(s.metadata), "coefficients": list(s.coefficients)}
+            {"metadata": metadata_to_dict(s.metadata), "coefficients": list(s.coefficients)}
             for s in model.sub_models
         ],
     }
@@ -280,7 +280,7 @@ def model_to_json(model: EstimationModel) -> str:
 def model_from_json(text: str) -> EstimationModel:
     payload = json.loads(text)
     subs = tuple(
-        SubModel(_metadata_from_dict(s["metadata"]), tuple(float(c) for c in s["coefficients"]))
+        SubModel(metadata_from_dict(s["metadata"]), tuple(float(c) for c in s["coefficients"]))
         for s in payload["sub_models"]
     )
     return EstimationModel(subs, tuple(float(s) for s in payload["feature_scales"]))

@@ -401,8 +401,11 @@ class CdclSolver:
     ) -> bool:
         """Solve under assumptions. True: self.model holds an assignment.
         False: unsatisfiable under the assumptions (self.model is None).
-        A time budget of zero or less raises SolverBudgetExceeded at once."""
+        A conflict or time budget of zero or less raises
+        SolverBudgetExceeded at once."""
         self.model = None
+        if max_conflicts is not None and max_conflicts <= 0:
+            raise SolverBudgetExceeded(f"conflict budget {max_conflicts} is not positive")
         if time_budget_s is not None and time_budget_s <= 0:
             raise SolverBudgetExceeded(f"time budget {time_budget_s} s is not positive")
         self._cancel_until(0)

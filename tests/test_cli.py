@@ -113,6 +113,33 @@ def test_attack_batch_partial_failure(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_attack_batch_survives_a_bad_cell(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "benches": ["pkg:c17"],
+        "key_lengths": [4, 99],
+        "crs": [1],
+        "seeds": [0],
+    }))
+    out_dir = tmp_path / "runs"
+    assert main(["attack", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert sorted(os.listdir(out_dir)) == [
+        "attack_c17_k4_cr1_s0.json",
+        "attack_c17_k99_cr1_s0.json",
+        "measurements.csv",
+        "rollup.csv",
+    ]
+    bad = read_json(str(out_dir / "attack_c17_k99_cr1_s0.json"))
+    assert bad["status"] == "error"
+    assert "99 key gates" in bad["message"]
+    assert read_json(str(out_dir / "attack_c17_k4_cr1_s0.json"))["status"] == "success"
+    rollup = (out_dir / "rollup.csv").read_text().splitlines()
+    assert len(rollup) == 3
+    assert rollup[2] == "c17,99,1,0,,error,,"
+    assert len((out_dir / "measurements.csv").read_text().splitlines()) == 2
+    assert "status=error" in capsys.readouterr().err
+
+
 def test_sat_fit_and_estimate(tmp_path):
     from hwassure.cli import _demo_measurement_records
     from hwassure.sat_estimation import records_to_csv
@@ -237,6 +264,27 @@ def test_metrics_missing_input_is_a_usage_error(argv, missing, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "oh", "--bench", "pkg:c17", "--node", "zz"],
+        ["attack", "--bench", "pkg:nope", "--key-length", "4"],
+        ["lock", "--bench", "pkg:c17", "--key-length", "99", "--out", "{tmp}/x.bench"],
+        ["frame", "--bench", "{tmp}/missing.bench", "--out", "{tmp}/y.bench"],
+        ["metrics", "cdc", "--csv", "{tmp}/missing.csv"],
+    ],
+    ids=["unknown-node", "unknown-pkg", "oversized-key", "missing-bench", "missing-csv"],
+)
+def test_library_input_error_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
 
 def test_report_empty_and_sorted(tmp_path):
     records = tmp_path / "records"

@@ -13,7 +13,6 @@ from hwassure.netlist import (
     extract_metadata,
     index_input_matrix,
     make_circuit,
-    metadata_csv_row,
     parse_bench,
     random_input_matrix,
     write_bench,
@@ -194,8 +193,6 @@ def test_metadata_and_csv_row():
     assert (md.num_primary_inputs, md.num_primary_outputs) == (16, 23)
     assert md.num_flip_flop_io == 29
     assert md.num_gates == len(c.gates)
-    row = metadata_csv_row(md)
-    assert row == f"s953,0,{len(c.gates)},16,23,29"
 
     md2 = extract_metadata(c, key_length=8, exclude_inputs=["i0", "i1"])
     assert md2.key_length == 8

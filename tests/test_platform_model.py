@@ -14,7 +14,6 @@ from hwassure.platform_model import (
     compose_platform_frame,
     frame,
     scan_slot,
-    stitch_frames,
 )
 
 
@@ -182,26 +181,3 @@ def test_compactor_observability_shrinks_with_cr():
             hi_key = tuple(sigs[hi][:, i])
             assert lo_to_hi.setdefault(lo_key, hi_key) == hi_key
 
-
-def test_stitch_frames_matches_sequential_stepping():
-    c = seq_circuit(5, seed=9)
-    fm = frame(c)
-    unrolled = stitch_frames(fm, 3)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        state = {ff.output: int(rng.integers(2)) for ff in c.flip_flops}
-        stimulus = [
-            {pi: int(rng.integers(2)) for pi in c.primary_inputs} for _ in range(3)
-        ]
-        assign = {f"{q}_t0": state[q] for q in fm.ff_input_order}
-        for t, vec in enumerate(stimulus):
-            assign.update({f"{pi}_t{t}": v for pi, v in vec.items()})
-        got, _ = evaluate(unrolled, assign)
-
-        cur = dict(state)
-        for t, vec in enumerate(stimulus):
-            out, cur = evaluate(c, vec, cur)
-            for po in c.primary_outputs:
-                assert got[f"{po}_t{t}"] == out[po]
-        final = [got[po] for po in unrolled.primary_outputs[-fm.ff_count:]]
-        assert final == [cur[q] for q in fm.ff_input_order]

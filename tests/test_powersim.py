@@ -10,12 +10,10 @@ from hwassure.powersim import (
     PER_ENCRYPTION,
     SubsystemConfig,
     SwitchingProfile,
-    ToggleTrace,
     generate_plaintexts,
     load_subsystem_config,
     load_subsystem_config_file,
     profiles_to_csv,
-    simulate_circuit_toggles,
     simulate_subsystem,
     windowed_toggle_samples,
 )
@@ -31,49 +29,6 @@ def all_nets_view(circuit):
         list(circuit.primary_inputs),
         list(circuit.nets()),
     )
-
-
-def naive_continuous(circuit, seed, cycles):
-    """Straight-line re-simulation with the scalar evaluator."""
-    rng = np.random.default_rng(seed)
-    view = all_nets_view(circuit)
-    prev = {n: 0 for n in circuit.nets()}
-    state = {ff.output: 0 for ff in circuit.flip_flops}
-    counts = []
-    for _ in range(cycles):
-        pis = {
-            pi: int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
-            for pi in circuit.primary_inputs
-        }
-        vals, state = evaluate(view, pis, state)
-        counts.append(sum(int(vals[n] != prev[n]) for n in circuit.nets()))
-        prev = dict(vals)
-    return tuple(counts)
-
-
-def test_constant_input_buffer_settles_after_first_cycle():
-    buf = make_circuit("b", [("y", "BUF", ["a"])], ["a"], ["y"])
-    trace = simulate_circuit_toggles(buf, 0, 10, stimulus=lambda t: {"a": 1})
-    assert trace.per_cycle[0] == 2  # both nets leave the reset value
-    assert trace.per_cycle[1:] == (0,) * 9
-    assert trace.total == 2
-
-
-def test_alternating_inverter_toggles_both_nets_every_cycle():
-    inv = make_circuit("n", [("y", "NOT", ["a"])], ["a"], ["y"])
-    trace = simulate_circuit_toggles(inv, 0, 8, stimulus=lambda t: {"a": t % 2})
-    # cycle 0: input stays at the reset value, only the output moves
-    assert trace.per_cycle[0] == 1
-    assert trace.per_cycle[1:] == (2,) * 7
-
-
-def test_continuous_trace_matches_naive_resimulation():
-    c17 = load_bundled("c17")
-    got = simulate_circuit_toggles(c17, 3, 100)
-    assert got.per_cycle == naive_continuous(c17, 3, 100)
-    assert got.total == sum(got.per_cycle)
-    s344 = load_bundled("s344")
-    assert simulate_circuit_toggles(s344, 9, 40).per_cycle == naive_continuous(s344, 9, 40)
 
 
 def test_windowed_samples_match_per_window_replay():
@@ -108,7 +63,7 @@ def test_windowed_samples_are_seed_deterministic():
 
 def test_subsystem_without_noise_is_exactly_the_aes_profile():
     pts = generate_plaintexts(1, 30)
-    sub, blocks = simulate_subsystem(SubsystemConfig(), KEY, pts)
+    [(sub, blocks)] = simulate_subsystem(SubsystemConfig(), [KEY], pts)
     assert list(blocks) == ["aes"]
     assert sub.samples == blocks["aes"].samples
     assert sub.key_hex == KEY.hex()
@@ -121,18 +76,18 @@ def test_subsystem_sample_is_the_exact_block_sum():
     )
     pts = generate_plaintexts(2, 40)
     for granularity in (PER_ENCRYPTION, PER_CYCLE):
-        sub, blocks = simulate_subsystem(cfg, KEY, pts, granularity)
+        [(sub, blocks)] = simulate_subsystem(cfg, [KEY], pts, granularity)
         total = sum(b.as_array() for b in blocks.values())
         assert (total == sub.as_array()).all()
         assert list(blocks) == ["aes", "s832", "s953"]
-    sub_cycle, _ = simulate_subsystem(cfg, KEY, pts, PER_CYCLE)
+    [(sub_cycle, _)] = simulate_subsystem(cfg, [KEY], pts, PER_CYCLE)
     assert len(sub_cycle.samples) == 40 * 11
 
 
 def test_repeated_noise_circuit_names_are_deduplicated():
     s298 = load_bundled("s298")
     cfg = SubsystemConfig(noise_ips=((s298, 1), (s298, 2)))
-    _, blocks = simulate_subsystem(cfg, KEY, generate_plaintexts(0, 5))
+    [(_, blocks)] = simulate_subsystem(cfg, [KEY], generate_plaintexts(0, 5))
     assert list(blocks) == ["aes", "s298", "s298#2"]
 
 
@@ -143,24 +98,24 @@ def test_scheduler_mask_silences_inactive_cycles():
     cfg_on = SubsystemConfig(noise_ips=((s298, 3),), scheduler=(active,))
     cfg_off = SubsystemConfig(noise_ips=((s298, 3),), scheduler=(silent,))
     pts = generate_plaintexts(3, 25)
-    sub_on, blocks_on = simulate_subsystem(cfg_on, KEY, pts)
-    sub_off, blocks_off = simulate_subsystem(cfg_off, KEY, pts)
+    [(sub_on, blocks_on)] = simulate_subsystem(cfg_on, [KEY], pts)
+    [(sub_off, blocks_off)] = simulate_subsystem(cfg_off, [KEY], pts)
     assert sub_off.samples == blocks_off["aes"].samples
     assert all(s == 0 for s in blocks_off["s298"].samples)
     assert sum(blocks_on["s298"].samples) > 0
     # half-open mask only counts the active cycles
     half = tuple([1] * 5 + [0] * 6)
     cfg_half = SubsystemConfig(noise_ips=((s298, 3),), scheduler=(half,))
-    _, blocks_half = simulate_subsystem(cfg_half, KEY, pts, PER_CYCLE)
+    [(_, blocks_half)] = simulate_subsystem(cfg_half, [KEY], pts, PER_CYCLE)
     arr = np.asarray(blocks_half["s298"].samples).reshape(25, 11)
     assert (arr[:, 5:] == 0).all()
 
 
 def test_active_noise_raises_mean_subsystem_toggles():
     pts = generate_plaintexts(4, 200)
-    base, _ = simulate_subsystem(SubsystemConfig(), KEY, pts)
-    louder, _ = simulate_subsystem(
-        SubsystemConfig(noise_ips=((load_bundled("s953"), 11),)), KEY, pts
+    [(base, _)] = simulate_subsystem(SubsystemConfig(), [KEY], pts)
+    [(louder, _)] = simulate_subsystem(
+        SubsystemConfig(noise_ips=((load_bundled("s953"), 11),)), [KEY], pts
     )
     assert louder.as_array().mean() > base.as_array().mean()
 
@@ -178,9 +133,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SubsystemConfig(noise_ips=((s298, 1),), scheduler=(tuple([2] * 11),))
     with pytest.raises(ValueError):
-        simulate_subsystem(SubsystemConfig(), KEY, [])
+        simulate_subsystem(SubsystemConfig(), [KEY], [])
     with pytest.raises(ValueError):
-        simulate_subsystem(SubsystemConfig(), KEY, generate_plaintexts(0, 2), "per-week")
+        simulate_subsystem(SubsystemConfig(), [KEY], generate_plaintexts(0, 2), "per-week")
 
 
 def test_profile_validation():
@@ -190,8 +145,6 @@ def test_profile_validation():
         SwitchingProfile((1, -2), "00", PER_CYCLE)
     with pytest.raises(ValueError):
         SwitchingProfile((1, 2), "00", "per-week")
-    with pytest.raises(ValueError):
-        ToggleTrace((3, -1))
 
 
 def test_plaintext_generation_is_deterministic():
@@ -206,7 +159,7 @@ def test_plaintext_generation_is_deterministic():
 
 def test_profile_csv_layout():
     cfg = SubsystemConfig(noise_ips=((load_bundled("s298"), 1),))
-    sub, blocks = simulate_subsystem(cfg, KEY, generate_plaintexts(0, 6))
+    [(sub, blocks)] = simulate_subsystem(cfg, [KEY], generate_plaintexts(0, 6))
     text = profiles_to_csv(sub, blocks)
     lines = text.strip().splitlines()
     assert lines[0] == "subsystem,aes,s298"

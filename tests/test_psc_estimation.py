@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from hwassure.bundled import load_bundled
+from hwassure import powersim
 from hwassure.netlist import make_circuit
 from hwassure.powersim import (
+    PER_CYCLE,
     PER_ENCRYPTION,
     SubsystemConfig,
     SwitchingProfile,
+    generate_plaintexts,
+    simulate_subsystem,
     windowed_toggle_samples,
 )
 from hwassure.psc_estimation import (
@@ -240,6 +244,27 @@ def test_simulate_key_pair_shares_noise_streams():
     assert blocks1["aes"].samples != blocks2["aes"].samples
     assert sub1.key_hex == "00" * 16
     assert sub2.key_hex == "ff" * 16
+
+
+def test_simulate_key_pair_simulates_each_noise_block_once(monkeypatch):
+    calls = []
+    real = powersim.windowed_toggle_samples
+
+    def counted(circuit, *args):
+        calls.append(circuit.name)
+        return real(circuit, *args)
+
+    monkeypatch.setattr(powersim, "windowed_toggle_samples", counted)
+    cfg = SubsystemConfig(
+        noise_ips=((small_noise_circuit(), 5), (load_bundled("s298"), 6)),
+        scheduler=(tuple([1] * 11), tuple([1] * 5 + [0] * 6)),
+    )
+    pair = simulate_key_pair(cfg, plaintext_seed=2, count=20, granularity=PER_CYCLE)
+    assert calls == ["mix", "s298"]
+    # sharing the noise across keys gives what each key simulated alone gives
+    plaintexts = generate_plaintexts(2, 20)
+    for key, run in zip(DEFAULT_KEY_PAIR, pair):
+        assert simulate_subsystem(cfg, [key], plaintexts, PER_CYCLE) == [run]
 
 
 def test_noise_injection_lowers_measured_divergence():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hwassure.pscmetrics import (
-    DEFAULT_THRESHOLDS,
     KL_EPSILON,
     EmpiricalDistribution,
     ScoreThresholds,
@@ -13,13 +12,9 @@ from hwassure.pscmetrics import (
     js_divergence,
     js_matrix_csv,
     kl_divergence,
-    metric_report,
-    mtd_relative,
     per_cycle_js_matrix,
-    scv,
     security_score,
     snr,
-    success_rate,
     tvla,
 )
 
@@ -177,33 +172,6 @@ def test_snr_ratio_of_population_variances():
         snr(signal, [5.0, 5.0])
 
 
-def test_scv_hand_value():
-    assert scv(3.0, 1.0, 2.0) == 1.0
-    with pytest.raises(ValueError):
-        scv(3.0, 1.0, 0.0)
-
-
-def test_mtd_relative():
-    assert mtd_relative(1.0, 1.0) == 1.0
-    assert mtd_relative(1.0, 0.5) == 4.0
-    assert mtd_relative(4.0, 0.5) == 1.0
-    with pytest.raises(ValueError):
-        mtd_relative(0.0, 0.5)
-    with pytest.raises(ValueError):
-        mtd_relative(1.0, 0.0)
-    with pytest.raises(ValueError):
-        mtd_relative(1.0, 1.5)
-
-
-def test_success_rate():
-    assert success_rate(3, 4) == 0.75
-    assert success_rate(0, 5) == 0.0
-    with pytest.raises(ValueError):
-        success_rate(1, 0)
-    with pytest.raises(ValueError):
-        success_rate(5, 4)
-
-
 def test_threshold_validation():
     with pytest.raises(ValueError):
         ScoreThresholds((0.3, 0.3, 0.1, 0.05))
@@ -308,12 +276,3 @@ def test_js_matrix_csv_layout():
     with pytest.raises(ValueError):
         js_matrix_csv({"a": [0.1], "b": [0.1, 0.2]}, ["a", "b"])
 
-
-def test_metric_report_shape():
-    rec = metric_report("js", 0.07, {"samples": 1000}, DEFAULT_THRESHOLDS)
-    assert rec["metric"] == "js"
-    assert rec["value"] == 0.07
-    assert rec["params"] == {"samples": 1000}
-    assert rec["threshold_profile"]["cuts"] == [0.30, 0.20, 0.12, 0.05]
-    plain = metric_report("tvla", 3.2, {})
-    assert "threshold_profile" not in plain

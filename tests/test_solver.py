@@ -142,6 +142,18 @@ def test_non_positive_time_budget_raises_before_search(budget):
         sat_solve(CnfFormula(2, [(1, 2)]), time_budget_s=budget)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_conflict_budget_raises_before_search(budget):
+    s = CdclSolver()
+    s.add_clause([1, 2])
+    with pytest.raises(SolverBudgetExceeded):
+        s.solve(max_conflicts=budget)
+    assert s.model is None and s.trail == [] and s.conflicts_total == 0
+    assert s.solve() is True
+    with pytest.raises(SolverBudgetExceeded):
+        sat_solve(CnfFormula(2, [(1, 2)]), max_conflicts=budget)
+
+
 # Recorded with the lazy heapq decision order that the indexed heap
 # replaced: the same decisions give the same conflict count and model.
 @pytest.mark.parametrize(
