@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,10 +75,7 @@ from .satattack import attack_report, build_platform_instance, sat_attack
 
 WALL_CLOCK_FIELD = "elapsed_s"
 
-
-def _fail(message: str, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+Record = Dict[str, object]
 
 
 def _out_root(value: Optional[str]) -> str:
@@ -95,18 +92,17 @@ def _write_json(path: str, obj: object) -> None:
         fh.write("\n")
 
 
-def _emit(
-    record: Dict[str, object],
-    out: Optional[str],
-    default_name: str = "record.json",
-) -> None:
+def _emit(record: Record, out: Optional[str], name: Optional[str]) -> None:
+    """Print the record. A command that names a record file also writes it
+    to ``--out``, or into the directory ``--out`` names as ``name``, which
+    is filled in from the record's fields."""
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)
-    if out:
+    if out and name:
         # Accept a directory target; batch commands already treat --out that way.
         if out.endswith(os.sep) or os.path.isdir(out):
             _ensure_dir(out)
-            out = os.path.join(out, default_name)
+            out = os.path.join(out, name.format(**record))
         _ensure_dir(os.path.dirname(out) or ".")
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -165,11 +161,11 @@ def stable_digest(directory: str) -> str:
     return digest.hexdigest()
 
 
-def cmd_lock(args) -> int:
+def cmd_lock(args) -> Record:
     circuit = load_bench_ref(args.bench)
     locked = insert_random_locking(circuit, args.key_length, seed=args.seed)
     key_path = save_locked(locked, args.out, args.key_out)
-    record = {
+    return {
         "kind": "lock",
         "design": circuit.name,
         "locked_design": locked.core.name,
@@ -178,48 +174,38 @@ def cmd_lock(args) -> int:
         "bench": args.out,
         "key_file": key_path,
     }
-    _emit(record, None)
-    return 0
 
 
-def cmd_frame(args) -> int:
+def cmd_frame(args) -> Record:
     circuit = load_bench_ref(args.bench)
     fm = frame(circuit)
     save_bench(fm.frame, args.out)
-    _emit(
-        {
-            "kind": "frame",
-            "design": circuit.name,
-            "ff_count": fm.ff_count,
-            "bench": args.out,
-        },
-        None,
-    )
-    return 0
+    return {
+        "kind": "frame",
+        "design": circuit.name,
+        "ff_count": fm.ff_count,
+        "bench": args.out,
+    }
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args) -> Record:
     circuit = load_bench_ref(args.bench)
     if not circuit.flip_flops:
-        return _fail("design is combinational; nothing to compose")
+        raise ValueError("design is combinational; nothing to compose")
     topology = ScanTopology.for_ff_count(
         len(circuit.flip_flops), args.cr, args.channels
     )
     composed = compose_platform_frame(frame(circuit), topology)
     save_bench(composed, args.out)
-    _emit(
-        {
-            "kind": "compose",
-            "design": circuit.name,
-            "cr": args.cr,
-            "channels": args.channels,
-            "chains": topology.num_chains,
-            "chain_length": topology.chain_length,
-            "bench": args.out,
-        },
-        None,
-    )
-    return 0
+    return {
+        "kind": "compose",
+        "design": circuit.name,
+        "cr": args.cr,
+        "channels": args.channels,
+        "chains": topology.num_chains,
+        "chain_length": topology.chain_length,
+        "bench": args.out,
+    }
 
 
 def _locked_metadata(circuit: Circuit, key_length: int, seed: int) -> CircuitMetadata:
@@ -229,19 +215,17 @@ def _locked_metadata(circuit: Circuit, key_length: int, seed: int) -> CircuitMet
     return extract_metadata(locked.core, key_length=key_length, exclude_inputs=locked.key_inputs)
 
 
-def _attack_record(circuit: Circuit, job: Dict[str, object]) -> Dict[str, object]:
-    key_length = int(job["key_length"])
-    cr = int(job["cr"])
-    seed = int(job["seed"])
+def _attack_record(circuit: Circuit, job: Record) -> Record:
+    key_length, cr, seed = job["key_length"], job["cr"], job["seed"]
     locked, oracle, _ = build_platform_instance(
-        circuit, key_length, cr, seed, external_channels=int(job.get("channels", 1))
+        circuit, key_length, cr, seed, external_channels=job["channels"]
     )
     result = sat_attack(
         locked,
         oracle,
-        time_limit_s=float(job["timeout_s"]),
-        max_iterations=job.get("max_iterations"),
-        solver=str(job["solver"]),
+        time_limit_s=job["timeout_s"],
+        max_iterations=job["max_iterations"],
+        solver=job["solver"],
     )
     record = attack_report(result, circuit.name, key_length, cr, seed=seed)
     record["kind"] = "sat-attack"
@@ -249,7 +233,7 @@ def _attack_record(circuit: Circuit, job: Dict[str, object]) -> Dict[str, object
     return record
 
 
-def _attack_job(job: Dict[str, object]) -> Dict[str, object]:
+def _attack_job(job: Record) -> Record:
     """One grid cell of a batch. A cell the library rejects becomes a record
     with status ``error`` so that the other cells still run."""
     circuit = load_bench_ref(str(job["bench"]))
@@ -267,35 +251,29 @@ def _attack_job(job: Dict[str, object]) -> Dict[str, object]:
         }
 
 
-def _attack_record_name(record: Dict[str, object]) -> str:
-    return (
-        f"attack_{record['design']}_k{record['key_length']}"
-        f"_cr{record['cr']}_s{record['seed']}.json"
-    )
-
+ATTACK_RECORD_NAME = "attack_{design}_k{key_length}_cr{cr}_s{seed}.json"
 
 ATTACK_CSV_COLUMNS = (
     "design", "key_length", "cr", "seed", "iterations", "status", "verified", "elapsed_s"
 )
 
 
-def _flat(value: object) -> object:
-    return "" if value is None else value
-
-
-def _attack_csv(records: Sequence[Dict[str, object]]) -> str:
-    """One row per attack record: ``rollup.csv`` and ``report --kind sat``."""
-    lines = [",".join(ATTACK_CSV_COLUMNS)]
-    lines.extend(",".join(str(_flat(r.get(c))) for c in ATTACK_CSV_COLUMNS) for r in records)
+def _csv(columns: Sequence[str], records: Sequence[Record]) -> str:
+    """One row per record and one column per field; a missing or null field
+    is an empty cell. Writes ``rollup.csv`` and every ``report``."""
+    lines = [",".join(columns)]
+    lines.extend(
+        ",".join("" if r.get(c) is None else str(r[c]) for c in columns) for r in records
+    )
     return "\n".join(lines) + "\n"
 
 
-def _write_attack_outputs(records: List[Dict[str, object]], out_dir: str) -> None:
+def _write_attack_outputs(records: List[Record], out_dir: str) -> None:
     _ensure_dir(out_dir)
     for rec in records:
-        _write_json(os.path.join(out_dir, _attack_record_name(rec)), rec)
+        _write_json(os.path.join(out_dir, ATTACK_RECORD_NAME.format(**rec)), rec)
     with open(os.path.join(out_dir, "rollup.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_attack_csv(records))
+        fh.write(_csv(ATTACK_CSV_COLUMNS, records))
     measurements = [
         ExperimentRecord(
             metadata=metadata_from_dict(rec["instance"]),
@@ -311,35 +289,43 @@ def _write_attack_outputs(records: List[Dict[str, object]], out_dir: str) -> Non
             fh.write(records_to_csv(measurements))
 
 
-def _batch_jobs(config: Dict[str, object]) -> List[Dict[str, object]]:
+def _attack_cell(
+    bench: object, key_length: int, cr: int, seed: int, settings: Mapping[str, object]
+) -> Record:
+    """One attack job. ``settings`` is the batch config or, in single mode,
+    the parsed arguments; either supplies the run limits."""
+    return {
+        "bench": bench,
+        "key_length": key_length,
+        "cr": cr,
+        "seed": seed,
+        "timeout_s": float(settings.get("timeout_s", 600.0)),
+        "solver": str(settings.get("solver", "builtin")),
+        "max_iterations": settings.get("max_iterations"),
+        "channels": int(settings.get("channels", 1)),
+    }
+
+
+def _batch_jobs(config: Record) -> List[Record]:
     if not isinstance(config, dict):
         raise ValueError("attack config must be a JSON object")
     for field in ("benches", "key_lengths", "crs", "seeds"):
         value = config.get(field)
         if not isinstance(value, list) or not value:
             raise ValueError(f"config field {field!r} must be a non-empty list")
+        if field != "benches" and not all(type(v) is int for v in value):
+            raise ValueError(f"config field {field!r} must list integers")
     for bench in config["benches"]:
         load_bench_ref(str(bench))
-    jobs = []
-    for bench, k, cr, seed in itertools.product(
-        config["benches"], config["key_lengths"], config["crs"], config["seeds"]
-    ):
-        jobs.append(
-            {
-                "bench": bench,
-                "key_length": int(k),
-                "cr": int(cr),
-                "seed": int(seed),
-                "timeout_s": float(config.get("timeout_s", 600.0)),
-                "solver": str(config.get("solver", "builtin")),
-                "max_iterations": config.get("max_iterations"),
-                "channels": int(config.get("channels", 1)),
-            }
+    return [
+        _attack_cell(bench, k, cr, seed, config)
+        for bench, k, cr, seed in itertools.product(
+            config["benches"], config["key_lengths"], config["crs"], config["seeds"]
         )
-    return jobs
+    ]
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> Union[Record, int]:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             jobs = _batch_jobs(json.load(fh))
@@ -363,45 +349,30 @@ def cmd_attack(args) -> int:
             )
         return 1 if failures else 0
     if not args.bench or args.key_length is None:
-        return _fail("attack needs --config or both --bench and --key-length")
-    job = {
-        "bench": args.bench,
-        "key_length": args.key_length,
-        "cr": args.cr,
-        "seed": args.seed,
-        "timeout_s": args.timeout_s,
-        "solver": args.solver,
-        "max_iterations": args.max_iterations,
-        "channels": args.channels,
-    }
-    record = _attack_record(load_bench_ref(args.bench), job)
-    _emit(record, args.out, default_name=_attack_record_name(record))
-    return 0 if record["status"] == "success" else 1
+        raise ValueError("attack needs --config or both --bench and --key-length")
+    job = _attack_cell(args.bench, args.key_length, args.cr, args.seed, vars(args))
+    return _attack_record(load_bench_ref(args.bench), job)
 
 
-def cmd_sat_fit(args) -> int:
+def cmd_sat_fit(args) -> Record:
     with open(args.csv, encoding="utf-8") as fh:
         records = records_from_csv(fh.read())
     model = build_model(records, max_submodels=args.max_submodels)
     save_model(model, args.out)
-    _emit(
-        {
-            "kind": "sat-fit",
-            "sub_models": len(model.sub_models),
-            "records": len(records),
-            "model": args.out,
-        },
-        None,
-    )
-    return 0
+    return {
+        "kind": "sat-fit",
+        "sub_models": len(model.sub_models),
+        "records": len(records),
+        "model": args.out,
+    }
 
 
-def cmd_sat_estimate(args) -> int:
+def cmd_sat_estimate(args) -> Record:
     model = load_model(args.model)
     circuit = load_bench_ref(args.bench)
     md = _locked_metadata(circuit, args.key_length, args.seed)
     estimate = estimate_attack_time(model, md, args.cr, args.ip_seconds)
-    record = {
+    return {
         "kind": "sat-estimate",
         "design": circuit.name,
         "key_length": args.key_length,
@@ -409,17 +380,16 @@ def cmd_sat_estimate(args) -> int:
         "ip_seconds": args.ip_seconds,
         "estimated_seconds": round(estimate, 6),
     }
-    _emit(record, args.out, default_name="estimate.json")
-    return 0
 
 
 def _per_encryption_view(profile: SwitchingProfile, cycles: int) -> np.ndarray:
     return profile.as_array().reshape(-1, cycles).sum(axis=1)
 
 
-def cmd_psc_measure(args) -> int:
-    config, _ = load_subsystem_config_file(args.config)
-    out_dir = _out_root(args.out)
+def cmd_psc_measure(args) -> Record:
+    config = load_subsystem_config_file(args.config)
+    # psc-measure always writes into a directory, its record included
+    args.out = out_dir = _out_root(args.out)
     _ensure_dir(out_dir)
     cycles = config.cycles_per_encryption
     (sub1, blocks1), (sub2, blocks2) = simulate_key_pair(
@@ -457,7 +427,7 @@ def cmd_psc_measure(args) -> int:
             os.path.join(out_dir, f"profiles_{label}.csv"), "w", encoding="utf-8"
         ) as fh:
             fh.write(profile_csv)
-    record = {
+    return {
         "kind": "psc-measure",
         "js": js,
         "score": score,
@@ -468,19 +438,17 @@ def cmd_psc_measure(args) -> int:
         "key1": sub1.key_hex,
         "key2": sub2.key_hex,
     }
-    _emit(record, os.path.join(out_dir, "measure.json"))
-    return 0
 
 
-def cmd_psc_estimate(args) -> int:
-    config, _ = load_subsystem_config_file(args.config)
+def cmd_psc_estimate(args) -> Record:
+    config = load_subsystem_config_file(args.config)
     db = load_profile_db(args.db)
     (aes1, _), (aes2, _) = simulate_key_pair(
         SubsystemConfig(), args.seed, args.plaintexts
     )
     mapped = map_config_blocks(config, db)
     js, score = estimate_subsystem_score((aes1, aes2), mapped, draw_seed=args.seed)
-    record = {
+    return {
         "kind": "psc-estimate",
         "js": js,
         "score": score,
@@ -488,94 +456,90 @@ def cmd_psc_estimate(args) -> int:
         "plaintexts": args.plaintexts,
         "seed": args.seed,
     }
-    _emit(record, args.out, default_name="estimate.json")
-    return 0
 
 
-def cmd_psc_db(args) -> int:
+def cmd_psc_db(args) -> Record:
     circuits = [load_bench_ref(ref) for ref in args.benches.split(",")]
     db = build_profile_db(circuits, windows=args.windows, seed=args.seed)
     save_profile_db(db, args.out)
-    _emit(
-        {
-            "kind": "psc-db",
-            "entries": [e.source_name for e in db.entries],
-            "windows": args.windows,
-            "seed": args.seed,
-            "directory": args.out,
+    return {
+        "kind": "psc-db",
+        "entries": [e.source_name for e in db.entries],
+        "windows": args.windows,
+        "seed": args.seed,
+        "directory": args.out,
+    }
+
+
+def cmd_scoap(args) -> Record:
+    circuit = load_bench_ref(args.bench)
+    return {
+        "kind": "metric",
+        "metric": "scoap",
+        "design": circuit.name,
+        "value": None,
+        "controllability": {
+            k: round(v, 9) for k, v in sorted(controllability(circuit, args.classical).items())
         },
-        None,
-    )
-    return 0
+        "observability": {
+            k: round(v, 9) for k, v in sorted(observability(circuit).items())
+        },
+    }
 
 
-def cmd_metrics(args) -> int:
-    if args.metric == "scoap":
-        circuit = load_bench_ref(args.bench)
-        record = {
-            "kind": "metric",
-            "metric": "scoap",
-            "design": circuit.name,
-            "value": None,
-            "controllability": {
-                k: round(v, 9) for k, v in sorted(controllability(circuit, args.classical).items())
-            },
-            "observability": {
-                k: round(v, 9) for k, v in sorted(observability(circuit).items())
-            },
-        }
-    elif args.metric == "oh":
-        circuit = load_bench_ref(args.bench)
-        value = observation_hardness(circuit, args.node, args.patterns, args.seed)
-        record = {
-            "kind": "metric",
-            "metric": "observation-hardness",
-            "design": circuit.name,
-            "node": args.node,
-            "patterns": args.patterns,
-            "value": value,
-        }
-    elif args.metric == "fsm-fi":
-        with open(args.csv, encoding="utf-8") as fh:
-            spec = fsm_from_csv(fh.read())
-        result = fsm_fi_vulnerability(spec)
-        record = {
-            "kind": "metric",
-            "metric": "fsm-fi",
-            "value": result.vulnerable_percent,
-            "mean_susceptibility": result.mean_susceptibility,
-            "susceptibility_factors": list(result.susceptibility_factors),
-        }
-    elif args.metric == "puf":
-        with open(args.responses, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        if args.hex:
-            lines = [hex_to_bits(line) for line in lines]
-        if args.intra:
-            value = puf_intra_hd(lines[0], lines[1:])
-            name = "puf-intra-hd"
-        else:
-            value = puf_inter_hd(lines)
-            name = "puf-inter-hd"
-        record = {
-            "kind": "metric",
-            "metric": name,
-            "value": value,
-            "responses": len(lines),
-        }
-    elif args.metric == "cdc":
-        with open(args.csv, encoding="utf-8") as fh:
-            defects = defects_from_csv(fh.read())
-        record = {
-            "kind": "metric",
-            "metric": "cdc",
-            "value": cdc(defects),
-            "defects": len(defects),
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        return _fail(f"unknown metric {args.metric!r}")
-    _emit(record, args.out, default_name="metric.json")
-    return 0
+def cmd_oh(args) -> Record:
+    circuit = load_bench_ref(args.bench)
+    return {
+        "kind": "metric",
+        "metric": "observation-hardness",
+        "design": circuit.name,
+        "node": args.node,
+        "patterns": args.patterns,
+        "value": observation_hardness(circuit, args.node, args.patterns, args.seed),
+    }
+
+
+def cmd_fsm_fi(args) -> Record:
+    with open(args.csv, encoding="utf-8") as fh:
+        spec = fsm_from_csv(fh.read())
+    result = fsm_fi_vulnerability(spec)
+    return {
+        "kind": "metric",
+        "metric": "fsm-fi",
+        "value": result.vulnerable_percent,
+        "mean_susceptibility": result.mean_susceptibility,
+        "susceptibility_factors": list(result.susceptibility_factors),
+    }
+
+
+def cmd_puf(args) -> Record:
+    with open(args.responses, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    if args.hex:
+        lines = [hex_to_bits(line) for line in lines]
+    if args.intra:
+        value = puf_intra_hd(lines[0], lines[1:])
+        name = "puf-intra-hd"
+    else:
+        value = puf_inter_hd(lines)
+        name = "puf-inter-hd"
+    return {
+        "kind": "metric",
+        "metric": name,
+        "value": value,
+        "responses": len(lines),
+    }
+
+
+def cmd_cdc(args) -> Record:
+    with open(args.csv, encoding="utf-8") as fh:
+        defects = defects_from_csv(fh.read())
+    return {
+        "kind": "metric",
+        "metric": "cdc",
+        "value": cdc(defects),
+        "defects": len(defects),
+    }
 
 
 _REPORT_FAMILY = {
@@ -587,46 +551,44 @@ _REPORT_FAMILY = {
 }
 
 
-def _report_rows(kind: str, records: List[Dict[str, object]]) -> str:
-    if kind == "sat":
-        return _attack_csv(
-            sorted(
-                (r for r in records if r.get("kind") == "sat-attack"),
-                key=lambda r: (r["design"], r["key_length"], r["cr"], r.get("seed", 0)),
-            )
-        )
-    if kind == "psc":
-        header = "record,js,score,plaintexts,seed"
-        rows = sorted(records, key=lambda r: (r["kind"], r.get("seed", 0)))
-        lines = [header] + [
-            f"{r['kind']},{r['js']},{r['score']},{r['plaintexts']},{_flat(r.get('seed'))}"
-            for r in rows
-        ]
-    else:
-        header = "metric,value"
-        rows = sorted(records, key=lambda r: r["metric"])
-        lines = [header] + [f"{r['metric']},{_flat(r.get('value'))}" for r in rows]
-    return "\n".join(lines) + "\n"
+# per report kind: the record kinds that become rows, the row order and
+# the columns; psc rows name their record kind in a "record" column
+_REPORTS = {
+    "sat": (
+        {"sat-attack"},
+        lambda r: (r["design"], r["key_length"], r["cr"], r.get("seed", 0)),
+        ATTACK_CSV_COLUMNS,
+    ),
+    "psc": (
+        {"psc-measure", "psc-estimate"},
+        lambda r: (r["kind"], r.get("seed", 0)),
+        ("record", "js", "score", "plaintexts", "seed"),
+    ),
+    "metrics": ({"metric"}, lambda r: r["metric"], ("metric", "value")),
+}
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.records):
+        raise ValueError(f"records directory not found: {args.records}")
     records = []
-    if os.path.isdir(args.records):
-        for name in sorted(os.listdir(args.records)):
-            if name.endswith(".json"):
-                with open(os.path.join(args.records, name), encoding="utf-8") as fh:
-                    records.append(json.load(fh))
-    else:
-        return _fail(f"records directory not found: {args.records}")
+    for name in sorted(os.listdir(args.records)):
+        if name.endswith(".json"):
+            path = os.path.join(args.records, name)
+            with open(path, encoding="utf-8") as fh:
+                records.append(json.load(fh))
+            if not isinstance(records[-1], dict):
+                raise ValueError(f"{path} does not hold a JSON object")
     known = [r for r in records if r.get("kind") in _REPORT_FAMILY]
     families = {_REPORT_FAMILY[r["kind"]] for r in known}
     if len(families) > 1:
-        return _fail(f"mixed record kinds in {args.records}: {sorted(families)}")
+        raise ValueError(f"mixed record kinds in {args.records}: {sorted(families)}")
     if families and args.kind not in families:
-        return _fail(f"records are {families.pop()!r}, not {args.kind!r}")
-    text = _report_rows(args.kind, known)
+        raise ValueError(f"records are {families.pop()!r}, not {args.kind!r}")
+    kinds, order, columns = _REPORTS[args.kind]
+    rows = sorted((dict(r, record=r["kind"]) for r in known if r["kind"] in kinds), key=order)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_csv(columns, rows))
     print(f"wrote {args.out} ({len(known)} records)")
     return 0
 
@@ -671,118 +633,71 @@ def _demo_measurement_records() -> List[ExperimentRecord]:
 
 def cmd_demo(args) -> int:
     out = _out_root(args.out)
-    _ensure_dir(out)
-    seed = args.seed
-
+    seed = str(args.seed)
+    _ensure_dir(os.path.join(out, "inputs"))
     attack_dir = os.path.join(out, "attack")
     config_path = os.path.join(out, "attack_config.json")
+    fit_csv = os.path.join(out, "reference_measurements.csv")
+    model_path = os.path.join(out, "sat_model.json")
+    db_dir = os.path.join(out, "psc_db")
+    subsystem_path = os.path.join(out, "subsystem.json")
+    psc_dir = os.path.join(out, "psc")
+    metrics_dir = os.path.join(out, "metrics")
+    fsm_csv, defects_csv, responses = (
+        os.path.join(out, "inputs", name) for name in ("fsm.csv", "defects.csv", "responses.txt")
+    )
+
     _write_json(
         config_path,
         {
             "benches": ["pkg:c17", "pkg:rs160"],
             "key_lengths": [4],
             "crs": [1, 2],
-            "seeds": [seed],
+            "seeds": [args.seed],
             "timeout_s": 600.0,
             "solver": "builtin",
         },
     )
-    code = main(["attack", "--config", config_path, "--out", attack_dir])
-    if code != 0:
-        return code
-
-    fit_csv = os.path.join(out, "reference_measurements.csv")
-    with open(fit_csv, "w", encoding="utf-8") as fh:
-        fh.write(records_to_csv(_demo_measurement_records()))
-    model_path = os.path.join(out, "sat_model.json")
-    code = main(["sat-fit", "--csv", fit_csv, "--out", model_path])
-    if code != 0:
-        return code
-    code = main(
-        [
-            "sat-estimate",
-            "--model", model_path,
-            "--bench", "pkg:rs220",
-            "--key-length", "4",
-            "--cr", "16",
-            "--ip-seconds", "1.0",
-            "--seed", str(seed),
-            "--out", os.path.join(out, "sat_estimate.json"),
-        ]
-    )
-    if code != 0:
-        return code
-
-    db_dir = os.path.join(out, "psc_db")
-    code = main(
-        [
-            "psc-db",
-            "--benches", "pkg:s1488,pkg:s832",
-            "--windows", "300",
-            "--seed", str(seed),
-            "--out", db_dir,
-        ]
-    )
-    if code != 0:
-        return code
-    subsystem_path = os.path.join(out, "subsystem.json")
     _write_json(
         subsystem_path,
         {
             "aes": {"enabled": True},
             "noise_ips": [
-                {"bench": "pkg:s1488", "seed": seed},
-                {"bench": "pkg:s832", "seed": seed + 1},
+                {"bench": "pkg:s1488", "seed": args.seed},
+                {"bench": "pkg:s832", "seed": args.seed + 1},
             ],
             "granularity": PER_ENCRYPTION,
         },
     )
-    psc_dir = os.path.join(out, "psc")
-    code = main(
-        [
-            "psc-measure",
-            "--config", subsystem_path,
-            "--plaintexts", "300",
-            "--seed", str(seed),
-            "--out", psc_dir,
-        ]
-    )
-    if code != 0:
-        return code
-    code = main(
-        [
-            "psc-estimate",
-            "--config", subsystem_path,
-            "--db", db_dir,
-            "--plaintexts", "300",
-            "--seed", str(seed),
-            "--out", os.path.join(psc_dir, "estimate.json"),
-        ]
-    )
-    if code != 0:
-        return code
-
-    inputs_dir = os.path.join(out, "inputs")
-    _ensure_dir(inputs_dir)
-    metrics_dir = os.path.join(out, "metrics")
-    for name, text in (
-        ("fsm.csv", DEMO_FSM_CSV),
-        ("defects.csv", DEMO_DEFECTS_CSV),
-        ("responses.txt", DEMO_RESPONSES),
+    for path, text in (
+        (fit_csv, records_to_csv(_demo_measurement_records())),
+        (fsm_csv, DEMO_FSM_CSV),
+        (defects_csv, DEMO_DEFECTS_CSV),
+        (responses, DEMO_RESPONSES),
     ):
-        with open(os.path.join(inputs_dir, name), "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
     steps = [
+        ["attack", "--config", config_path, "--out", attack_dir],
+        ["sat-fit", "--csv", fit_csv, "--out", model_path],
+        ["sat-estimate", "--model", model_path, "--bench", "pkg:rs220", "--key-length", "4",
+         "--cr", "16", "--ip-seconds", "1.0", "--seed", seed,
+         "--out", os.path.join(out, "sat_estimate.json")],
+        ["psc-db", "--benches", "pkg:s1488,pkg:s832", "--windows", "300", "--seed", seed,
+         "--out", db_dir],
+        ["psc-measure", "--config", subsystem_path, "--plaintexts", "300", "--seed", seed,
+         "--out", psc_dir],
+        ["psc-estimate", "--config", subsystem_path, "--db", db_dir, "--plaintexts", "300",
+         "--seed", seed, "--out", os.path.join(psc_dir, "estimate.json")],
         ["metrics", "scoap", "--bench", "pkg:c17",
          "--out", os.path.join(metrics_dir, "scoap_c17.json")],
         ["metrics", "oh", "--bench", "pkg:c17", "--node", "22",
          "--out", os.path.join(metrics_dir, "oh_c17.json")],
-        ["metrics", "fsm-fi", "--csv", os.path.join(inputs_dir, "fsm.csv"),
-         "--out", os.path.join(metrics_dir, "fsm.json")],
-        ["metrics", "puf", "--responses", os.path.join(inputs_dir, "responses.txt"),
+        ["metrics", "fsm-fi", "--csv", fsm_csv, "--out", os.path.join(metrics_dir, "fsm.json")],
+        ["metrics", "puf", "--responses", responses,
          "--out", os.path.join(metrics_dir, "puf.json")],
-        ["metrics", "cdc", "--csv", os.path.join(inputs_dir, "defects.csv"),
-         "--out", os.path.join(metrics_dir, "cdc.json")],
+        ["metrics", "cdc", "--csv", defects_csv, "--out", os.path.join(metrics_dir, "cdc.json")],
         ["report", "--kind", "sat", "--records", attack_dir,
          "--out", os.path.join(out, "report_sat.csv")],
         ["report", "--kind", "metrics", "--records", metrics_dir,
@@ -839,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_attack)
+    p.set_defaults(func=cmd_attack, record_name=ATTACK_RECORD_NAME)
 
     p = sub.add_parser("sat-fit", help="fit attack-time multiplier curves from measurements")
     p.add_argument("--csv", required=True)
@@ -855,14 +770,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ip-seconds", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sat_estimate)
+    p.set_defaults(func=cmd_sat_estimate, record_name="estimate.json")
 
     p = sub.add_parser("psc-measure", help="measure key-pair switching divergence")
     p.add_argument("--config", required=True)
     p.add_argument("--plaintexts", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_psc_measure)
+    p.set_defaults(func=cmd_psc_measure, record_name="measure.json")
 
     p = sub.add_parser("psc-estimate", help="estimate divergence via the profile database")
     p.add_argument("--config", required=True)
@@ -870,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plaintexts", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_psc_estimate)
+    p.set_defaults(func=cmd_psc_estimate, record_name="estimate.json")
 
     p = sub.add_parser("psc-db", help="pre-simulate benchmark switching profiles")
     p.add_argument("--benches", required=True, help="comma-separated bench references")
@@ -884,22 +799,27 @@ def build_parser() -> argparse.ArgumentParser:
     m = metric.add_parser("scoap", help="SCOAP controllability and observability")
     m.add_argument("--bench", required=True)
     m.add_argument("--classical", action="store_true")
+    m.set_defaults(func=cmd_scoap)
     m = metric.add_parser("oh", help="observation hardness of one net")
     m.add_argument("--bench", required=True)
     m.add_argument("--node", required=True)
     m.add_argument("--patterns", type=int, default=None)
     m.add_argument("--seed", type=int, default=0)
+    m.set_defaults(func=cmd_oh)
     m = metric.add_parser("fsm-fi", help="FSM fault-injection vulnerability")
     m.add_argument("--csv", required=True)
+    m.set_defaults(func=cmd_fsm_fi)
     m = metric.add_parser("puf", help="PUF inter- or intra-chip Hamming distance")
     m.add_argument("--responses", required=True)
     m.add_argument("--intra", action="store_true")
     m.add_argument("--hex", action="store_true")
+    m.set_defaults(func=cmd_puf)
     m = metric.add_parser("cdc", help="counterfeit detection confidence over defects")
     m.add_argument("--csv", required=True)
+    m.set_defaults(func=cmd_cdc)
     for m in metric.choices.values():
         m.add_argument("--out")
-        m.set_defaults(func=cmd_metrics)
+        m.set_defaults(record_name="metric.json")
 
     p = sub.add_parser("report", help="summarize run records into plot-ready CSV")
     p.add_argument("--kind", choices=["sat", "psc", "metrics"], required=True)
@@ -916,17 +836,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; a library error on bad input becomes exit code 2.
+    """Run one command and return its exit code.
 
-    ``NetlistError`` and ``BenchParseError`` are ``ValueError``s; a missing
-    file is an ``OSError``; a config entry without a required field is a
-    ``KeyError``.
+    A handler returns its record, which is printed and, for a command that
+    names a record file, written to ``--out``; the exit code is 1 when the
+    record's ``status`` is not ``success``. A command that writes its own
+    files and prints a summary line returns its exit code instead.
+
+    A library error on bad input becomes one ``error:`` line and exit code
+    2: ``NetlistError`` and ``BenchParseError`` are ``ValueError``s, a
+    missing file is an ``OSError`` and a config entry without a required
+    field is a ``KeyError``.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        _emit(result, args.out, getattr(args, "record_name", None))
     except (ValueError, OSError, KeyError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if result.get("status", "success") == "success" else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -95,35 +95,6 @@ def _xor_fold(specs: List[Tuple[str, str, Sequence[str]]], nets: Sequence[str], 
     specs.append((out, "XOR", [acc, nets[-1]]))
 
 
-def build_decompressor(topology: ScanTopology, name: str = "decompressor") -> Circuit:
-    """Broadcast fan-out: external channel c drives chains c*CR .. c*CR+CR-1."""
-    cr = topology.compression_ratio
-    ins = [f"dec_in{c}" for c in range(topology.external_channels)]
-    specs = [
-        (f"dec_out{j}", "BUF", [ins[j // cr]])
-        for j in range(topology.num_chains)
-    ]
-    return make_circuit(name, specs, ins, [s[0] for s in specs])
-
-
-def build_compactor(topology: ScanTopology, name: str = "compactor") -> Circuit:
-    """XOR tree: external channel c observes the parity of its CR chains."""
-    cr = topology.compression_ratio
-    ins = [f"cmp_in{j}" for j in range(topology.num_chains)]
-    specs: List[Tuple[str, str, Sequence[str]]] = []
-    outs = []
-    for c in range(topology.external_channels):
-        out = f"cmp_out{c}"
-        _xor_fold(specs, ins[c * cr : (c + 1) * cr], out)
-        outs.append(out)
-    return make_circuit(name, specs, ins, outs)
-
-
-def scan_slot(topology: ScanTopology, ff_index: int) -> Tuple[int, int]:
-    """Chain-major placement: FF i sits in chain i // L at position i % L."""
-    return ff_index // topology.chain_length, ff_index % topology.chain_length
-
-
 def compose_platform_frame(fm: FrameModel, topology: ScanTopology) -> Circuit:
     """Stitch per-shift-cycle codec copies around a frame.
 

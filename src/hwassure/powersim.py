@@ -200,33 +200,40 @@ def profiles_to_csv(
     return "\n".join(lines) + "\n"
 
 
-def load_subsystem_config(
-    payload: Mapping[str, object], base_dir: str = "."
-) -> Tuple[SubsystemConfig, str]:
+def load_subsystem_config(payload: Mapping[str, object], base_dir: str = ".") -> SubsystemConfig:
     """Build a config from its declarative form.
 
     Shape: {"aes": {"enabled": bool}, "noise_ips": [{"bench": ref, "seed": n}, ...],
-    "granularity": "per-encryption" | "per-cycle", "scheduler": [[...], ...]}.
-    Bench references are 'pkg:NAME' or paths relative to ``base_dir``.
+    "scheduler": [[...], ...]}. Bench references are 'pkg:NAME' or paths
+    relative to ``base_dir``. Other keys are ignored. A field of the wrong
+    shape raises ``ValueError`` naming the field.
     """
-    aes_enabled = bool(payload.get("aes", {}).get("enabled", True))
+    if not isinstance(payload, Mapping):
+        raise ValueError("subsystem config must be a JSON object")
+    aes = payload.get("aes", {})
+    if not isinstance(aes, Mapping):
+        raise ValueError("config field 'aes' must be an object")
+    entries = payload.get("noise_ips", [])
+    if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
+        raise ValueError("config field 'noise_ips' must be a list of objects")
     ips = []
-    for entry in payload.get("noise_ips", []):
+    for entry in entries:
         ref = str(entry["bench"])
         if not ref.startswith("pkg:") and not os.path.isabs(ref):
             ref = os.path.join(base_dir, ref)
         ips.append((load_bench_ref(ref), int(entry.get("seed", 0))))
     scheduler = payload.get("scheduler")
     if scheduler is not None:
-        scheduler = tuple(tuple(int(v) for v in row) for row in scheduler)
-    granularity = str(payload.get("granularity", PER_ENCRYPTION))
-    config = SubsystemConfig(
-        noise_ips=tuple(ips), aes_core=aes_enabled, scheduler=scheduler
+        try:
+            scheduler = tuple(tuple(int(v) for v in row) for row in scheduler)
+        except (TypeError, ValueError):
+            raise ValueError("config field 'scheduler' must be a list of integer rows") from None
+    return SubsystemConfig(
+        noise_ips=tuple(ips), aes_core=bool(aes.get("enabled", True)), scheduler=scheduler
     )
-    return config, granularity
 
 
-def load_subsystem_config_file(path: str) -> Tuple[SubsystemConfig, str]:
+def load_subsystem_config_file(path: str) -> SubsystemConfig:
     with open(path) as fh:
         payload = json.load(fh)
     return load_subsystem_config(payload, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -35,6 +35,7 @@ from .pscmetrics import (
     compare_profiles,
     security_score,
 )
+from .sat_estimation import nearest_neighbour
 
 KEY_ZEROS = bytes(16)
 KEY_ONES = bytes([0xFF]) * 16
@@ -172,31 +173,20 @@ def _attribute_scales(db: ProfileDatabase) -> np.ndarray:
     return scales
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def map_ip(query: IpAttributes, db: ProfileDatabase) -> BenchmarkProfile:
     """Most similar database entry under max-normalized cosine similarity.
 
     Ties fall back to the closest four-kind gate total, then to name
     order, so the mapping is deterministic.
     """
-    scales = _attribute_scales(db)
-    q = query.vector() / scales
-    best = None
-    best_key = None
-    for entry in db.entries:
-        sim = _cosine(q, entry.attributes.vector() / scales)
-        key = (-sim, abs(entry.attributes.num_gates - query.num_gates), entry.source_name)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = entry
-    return best
+    entries = sorted(db.entries, key=lambda e: e.source_name)
+    index = nearest_neighbour(
+        query.vector(),
+        query.num_gates,
+        [(e.attributes.vector(), e.attributes.num_gates) for e in entries],
+        _attribute_scales(db),
+    )
+    return entries[index]
 
 
 def _noise_draws(profile: SwitchingProfile, length: int, rng: np.random.Generator) -> np.ndarray:

@@ -96,26 +96,39 @@ def feature_vector(md: CircuitMetadata) -> Tuple[float, float, float, float, flo
     )
 
 
-def _scaled(md: CircuitMetadata, scales: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(f / s for f, s in zip(feature_vector(md), scales))
+def nearest_neighbour(
+    query: Sequence[float],
+    query_gates: int,
+    candidates: Sequence[Tuple[Sequence[float], int]],
+    scales: Sequence[float],
+) -> int:
+    """Index of the ``(features, gate count)`` candidate most similar to the query.
+
+    Similarity is the cosine over features divided by ``scales``. Ties break
+    toward the closest gate count, then the lowest index, so the choice is
+    deterministic.
+    """
+    q = np.asarray(query, dtype=np.float64) / scales
+    return min(
+        range(len(candidates)),
+        key=lambda i: (
+            -cosine_similarity(q, np.asarray(candidates[i][0], dtype=np.float64) / scales),
+            abs(candidates[i][1] - query_gates),
+            i,
+        ),
+    )
 
 
 def select_submodel(model: EstimationModel, metadata: CircuitMetadata) -> SubModel:
-    """Most-similar submodel by cosine over scaled interface features.
-
-    Ties break toward the closest gate count, then the lowest index, so
-    selection is deterministic.
-    """
-    query = _scaled(metadata, model.feature_scales)
-    ranked = sorted(
-        enumerate(model.sub_models),
-        key=lambda iv: (
-            -cosine_similarity(query, _scaled(iv[1].metadata, model.feature_scales)),
-            abs(iv[1].metadata.num_gates - metadata.num_gates),
-            iv[0],
-        ),
+    """Most-similar submodel by cosine over scaled interface features
+    (:func:`nearest_neighbour`)."""
+    index = nearest_neighbour(
+        feature_vector(metadata),
+        metadata.num_gates,
+        [(feature_vector(s.metadata), s.metadata.num_gates) for s in model.sub_models],
+        model.feature_scales,
     )
-    return ranked[0][1]
+    return model.sub_models[index]
 
 
 def estimate_attack_time(

@@ -266,6 +266,23 @@ def test_metrics_missing_input_is_a_usage_error(argv, missing, capsys):
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
+@pytest.fixture
+def malformed_inputs(tmp_path_factory):
+    """Inputs of the wrong JSON shape, kept outside ``tmp_path`` so that a
+    test can assert that nothing was written there."""
+    root = tmp_path_factory.mktemp("malformed")
+    for name, payload in (
+        ("noise_ips.json", {"noise_ips": [1]}),
+        ("aes.json", {"aes": True}),
+        ("scheduler.json", {"scheduler": 5}),
+        ("grid.json", {"benches": ["pkg:c17"], "key_lengths": [None], "crs": [1], "seeds": [0]}),
+        ("records/list.json", [1]),
+    ):
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(json.dumps(payload))
+    return root
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -274,11 +291,20 @@ def test_metrics_missing_input_is_a_usage_error(argv, missing, capsys):
         ["lock", "--bench", "pkg:c17", "--key-length", "99", "--out", "{tmp}/x.bench"],
         ["frame", "--bench", "{tmp}/missing.bench", "--out", "{tmp}/y.bench"],
         ["metrics", "cdc", "--csv", "{tmp}/missing.csv"],
+        ["psc-measure", "--config", "{bad}/noise_ips.json", "--out", "{tmp}/psc"],
+        ["psc-measure", "--config", "{bad}/aes.json", "--out", "{tmp}/psc"],
+        ["psc-measure", "--config", "{bad}/scheduler.json", "--out", "{tmp}/psc"],
+        ["attack", "--config", "{bad}/grid.json", "--out", "{tmp}/runs"],
+        ["report", "--kind", "sat", "--records", "{bad}/records", "--out", "{tmp}/r.csv"],
     ],
-    ids=["unknown-node", "unknown-pkg", "oversized-key", "missing-bench", "missing-csv"],
+    ids=["unknown-node", "unknown-pkg", "oversized-key", "missing-bench", "missing-csv",
+         "noise-ip-not-object", "aes-not-object", "scheduler-not-rows", "null-key-length",
+         "record-not-object"],
 )
-def test_library_input_error_exits_2_with_one_error_line(argv, tmp_path, capsys):
-    code = main([a.format(tmp=tmp_path) for a in argv])
+def test_library_input_error_exits_2_with_one_error_line(
+    argv, tmp_path, capsys, malformed_inputs
+):
+    code = main([a.format(tmp=tmp_path, bad=malformed_inputs) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,11 +9,8 @@ from hwassure.netlist import NetlistError, batch_evaluate, evaluate, index_input
 from hwassure.platform_model import (
     FrameModel,
     ScanTopology,
-    build_compactor,
-    build_decompressor,
     compose_platform_frame,
     frame,
-    scan_slot,
 )
 
 
@@ -61,15 +58,37 @@ def test_topology_validation():
     assert t.compression_ratio == 16
 
 
+def scan_probe(n_ff):
+    """Frame of n flip-flops whose D pin i is driven by primary input x<i> and
+    whose Q net i is observed at primary output p<i>, so that on a one-cycle
+    scan the codec alone sits between the scan ports and these nets."""
+    specs = [(f"q{i}", "DFF", [f"d{i}"]) for i in range(n_ff)]
+    specs += [(f"d{i}", "BUF", [f"x{i}"]) for i in range(n_ff)]
+    specs += [(f"p{i}", "BUF", [f"q{i}"]) for i in range(n_ff)]
+    return frame(make_circuit(
+        f"probe{n_ff}", specs, [f"x{i}" for i in range(n_ff)], [f"p{i}" for i in range(n_ff)]
+    ))
+
+
+def scan_ports(composed):
+    return (
+        [n for n in composed.primary_inputs if n.startswith("si_")],
+        [n for n in composed.primary_outputs if n.startswith("so_")],
+    )
+
+
 def test_decompressor_broadcast_reach():
     topo = ScanTopology(num_chains=4, chain_length=1, external_channels=2)
-    dec = build_decompressor(topo)
-    assert len(dec.primary_inputs) == 2
-    assert len(dec.primary_outputs) == 4
+    composed = compose_platform_frame(scan_probe(4), topo)
+    scan_ins, _ = scan_ports(composed)
+    assert len(scan_ins) == 2
+    loaded = [f"p{i}" for i in range(4)]
     patterns = set()
     for bits in itertools.product((0, 1), repeat=2):
-        out, _ = evaluate(dec, dict(zip(dec.primary_inputs, bits)))
-        patterns.add(tuple(out[po] for po in dec.primary_outputs))
+        assign = {pi: 0 for pi in composed.primary_inputs}
+        assign.update(zip(scan_ins, bits))
+        out, _ = evaluate(composed, assign)
+        patterns.add(tuple(out[p] for p in loaded))
     # broadcast: channel value repeats across its CR chains
     assert patterns == {(a, a, b, b) for a in (0, 1) for b in (0, 1)}
     assert len(patterns) == 4
@@ -77,20 +96,24 @@ def test_decompressor_broadcast_reach():
 
 def test_compactor_parity():
     topo = ScanTopology(num_chains=3, chain_length=1, external_channels=1)
-    cmp3 = build_compactor(topo)
-    out, _ = evaluate(cmp3, {"cmp_in0": 1, "cmp_in1": 1, "cmp_in2": 0})
-    assert out["cmp_out0"] == 0
+    composed = compose_platform_frame(scan_probe(3), topo)
+    captured = ["x0", "x1", "x2"]
+    out, _ = evaluate(composed, {"si_g0_c0": 0, "x0": 1, "x1": 1, "x2": 0})
+    assert out["so_g0_c0"] == 0
     for bits in itertools.product((0, 1), repeat=3):
-        out, _ = evaluate(cmp3, dict(zip(cmp3.primary_inputs, bits)))
-        assert out["cmp_out0"] == sum(bits) % 2
+        out, _ = evaluate(composed, {"si_g0_c0": 0, **dict(zip(captured, bits))})
+        assert out["so_g0_c0"] == sum(bits) % 2
 
 
 def test_compactor_cr1_is_identity():
     topo = ScanTopology(num_chains=3, chain_length=1, external_channels=3)
-    ident = build_compactor(topo)
+    composed = compose_platform_frame(scan_probe(3), topo)
+    scan_ins, scan_outs = scan_ports(composed)
     for bits in itertools.product((0, 1), repeat=3):
-        out, _ = evaluate(ident, dict(zip(ident.primary_inputs, bits)))
-        assert tuple(out[po] for po in ident.primary_outputs) == bits
+        assign = {si: 0 for si in scan_ins}
+        assign.update((f"x{i}", b) for i, b in enumerate(bits))
+        out, _ = evaluate(composed, assign)
+        assert tuple(out[so] for so in scan_outs) == bits
 
 
 def test_compose_codec_copy_counts():
@@ -122,7 +145,7 @@ def test_compose_cr1_equivalent_to_frame():
     si_of = {}
     so_of = {}
     for idx in range(fm.ff_count):
-        chain, pos = scan_slot(topo, idx)
+        chain, pos = divmod(idx, topo.chain_length)
         si_of[fm.ff_input_order[idx]] = f"si_g{pos}_c{chain}"
         so_of[fm.ff_output_order[idx]] = f"so_g{pos}_c{chain}"
 
@@ -167,10 +190,12 @@ def test_compactor_observability_shrinks_with_cr():
     sigs = {}
     for cr in (1, 2, 4):
         topo = ScanTopology(num_chains=n, chain_length=1, external_channels=n // cr)
-        cmp_c = build_compactor(topo)
-        mat = index_input_matrix(cmp_c.primary_inputs, 1 << n)
-        outs, _ = batch_evaluate(cmp_c, mat)
-        sig = np.stack([outs[po] for po in cmp_c.primary_outputs])
+        composed = compose_platform_frame(scan_probe(n), topo)
+        scan_ins, scan_outs = scan_ports(composed)
+        mat = index_input_matrix([f"x{i}" for i in range(n)], 1 << n)
+        mat.update((si, np.zeros(1 << n, dtype=np.uint8)) for si in scan_ins)
+        outs, _ = batch_evaluate(composed, mat)
+        sig = np.stack([outs[so] for so in scan_outs])
         sigs[cr] = sig
     for hi, lo in ((4, 2), (2, 1)):
         # the low-CR partition must refine the high-CR one: vectors sharing a

@@ -176,8 +176,7 @@ def test_config_loader_resolves_package_references(tmp_path):
         "noise_ips": [{"bench": "pkg:s298", "seed": 5}],
         "granularity": "per-cycle",
     }
-    cfg, granularity = load_subsystem_config(payload)
-    assert granularity == PER_CYCLE
+    cfg = load_subsystem_config(payload)
     assert cfg.aes_core is True
     assert len(cfg.noise_ips) == 1
     assert cfg.noise_ips[0][0].name == "s298"
@@ -185,6 +184,5 @@ def test_config_loader_resolves_package_references(tmp_path):
 
     path = tmp_path / "subsystem.json"
     path.write_text(json.dumps(payload))
-    cfg2, gran2 = load_subsystem_config_file(str(path))
-    assert gran2 == PER_CYCLE
+    cfg2 = load_subsystem_config_file(str(path))
     assert cfg2.noise_ips[0][0].name == "s298"
