@@ -17,13 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netlist import (
-    Circuit,
-    _gate_value,
-    batch_evaluate,
-    index_input_matrix,
-    random_input_matrix,
-)
+from .netlist import Circuit, _gate_value, batch_evaluate, input_patterns
 
 MAX_TRUTH_TABLE_FANIN = 16
 
@@ -132,27 +126,21 @@ def observation_hardness(
     pis = circuit.primary_inputs
     if not pis:
         raise ValueError("circuit has no primary inputs")
-    if n_patterns is None:
-        if len(pis) > MAX_TRUTH_TABLE_FANIN:
-            raise ValueError("too many inputs for exhaustive patterns")
-        inputs = index_input_matrix(pis, 1 << len(pis))
-    else:
-        if n_patterns < 1:
-            raise ValueError("need at least one pattern")
-        rng = np.random.default_rng(seed)
-        inputs = random_input_matrix(circuit, n_patterns, rng)
-    good, _ = batch_evaluate(circuit, inputs, all_nets=True)
-    good_node = good[node]
-    lanes = good_node.shape[0]
-    detected = 0
-    for pi in pis:
-        for stuck in (0, 1):
+    if n_patterns is None and len(pis) > MAX_TRUTH_TABLE_FANIN:
+        raise ValueError("too many inputs for exhaustive patterns")
+    undetected = [(pi, stuck) for pi in pis for stuck in (0, 1)]
+    for inputs in input_patterns(pis, n_patterns, seed):
+        good_node = batch_evaluate(circuit, inputs, all_nets=True)[0][node]
+        lanes = good_node.shape[0]
+        missed = []
+        for pi, stuck in undetected:
             forced = dict(inputs)
             forced[pi] = np.full(lanes, stuck, dtype=np.uint8)
             faulty, _ = batch_evaluate(circuit, forced, all_nets=True)
-            if bool(np.any(faulty[node] != good_node)):
-                detected += 1
-    return detected / (2 * len(pis))
+            if not np.any(faulty[node] != good_node):
+                missed.append((pi, stuck))
+        undetected = missed
+    return (2 * len(pis) - len(undetected)) / (2 * len(pis))
 
 
 @dataclass(frozen=True)

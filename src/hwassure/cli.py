@@ -71,7 +71,7 @@ from .sat_estimation import (
     records_to_csv,
     save_model,
 )
-from .satattack import attack_report, build_platform_instance, sat_attack
+from .satattack import attack_report, build_platform_instance, make_solver, sat_attack
 
 WALL_CLOCK_FIELD = "elapsed_s"
 
@@ -306,6 +306,13 @@ def _attack_cell(
     }
 
 
+_ATTACK_SETTING_TYPES = (
+    ("timeout_s", (int, float), "a number"),
+    ("max_iterations", (int, type(None)), "an integer or null"),
+    ("channels", (int,), "an integer"),
+)
+
+
 def _batch_jobs(config: Record) -> List[Record]:
     if not isinstance(config, dict):
         raise ValueError("attack config must be a JSON object")
@@ -315,6 +322,13 @@ def _batch_jobs(config: Record) -> List[Record]:
             raise ValueError(f"config field {field!r} must be a non-empty list")
         if field != "benches" and not all(type(v) is int for v in value):
             raise ValueError(f"config field {field!r} must list integers")
+    for field, types, what in _ATTACK_SETTING_TYPES:
+        if field in config and type(config[field]) not in types:
+            raise ValueError(f"config field {field!r} must be {what}")
+    try:
+        make_solver(config.get("solver", "builtin"))
+    except ValueError as exc:
+        raise ValueError(f"config field 'solver': {exc}") from None
     for bench in config["benches"]:
         load_bench_ref(str(bench))
     return [
@@ -515,6 +529,8 @@ def cmd_fsm_fi(args) -> Record:
 def cmd_puf(args) -> Record:
     with open(args.responses, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"no responses in {args.responses}")
     if args.hex:
         lines = [hex_to_bits(line) for line in lines]
     if args.intra:

@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netlist import (
-    Circuit,
-    Gate,
-    NetlistError,
-    batch_evaluate,
-    evaluate,
-    index_input_matrix,
-)
+from .netlist import Circuit, Gate, NetlistError, batch_evaluate, evaluate, input_patterns
 
 KEY_INPUT_PREFIX = "keyinput"
 
@@ -147,12 +140,29 @@ def evaluate_locked(
     return evaluate(locked.core, merged, state)
 
 
+def _outputs_matrix(circuit: Circuit, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
+    outs, _ = batch_evaluate(circuit, assignments)
+    return np.stack([outs[po] for po in circuit.primary_outputs])
+
+
+def keyed_outputs(
+    locked: LockedCircuit, key: LockingKey, patterns: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Outputs of the core with ``key`` on every lane of ``patterns``, which
+    assigns the functional inputs: one row per primary output, one column
+    per lane."""
+    bits = key_assignment(locked, key)
+    lanes = len(next(iter(patterns.values())))
+    assign = dict(patterns)
+    for name, bit in bits.items():
+        assign[name] = np.full(lanes, bit, dtype=np.uint8)
+    return _outputs_matrix(locked.core, assign)
+
+
 # -- piracy metrics ------------------------------------------------------------
 #
 # All three metrics treat the circuit combinationally, so they require a
 # DFF-free core (frame a sequential design first).
-
-_CHUNK = 1 << 16
 
 
 def _require_combinational(locked: LockedCircuit) -> None:
@@ -160,9 +170,8 @@ def _require_combinational(locked: LockedCircuit) -> None:
         raise NetlistError("piracy metrics are defined on combinational cores; frame first")
 
 
-def _outputs_matrix(circuit: Circuit, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
-    outs, _ = batch_evaluate(circuit, assignments)
-    return np.stack([outs[po] for po in circuit.primary_outputs])
+def _corrupted_lanes(got: np.ndarray, ref: np.ndarray) -> int:
+    return int(np.any(got != ref, axis=0).sum())
 
 
 def _key_to_int(key: LockingKey) -> int:
@@ -182,6 +191,20 @@ def _wrong_keys(rng: random.Random, locked: LockedCircuit, count: int) -> List[L
     return keys
 
 
+def _corrupted_share(
+    locked: LockedCircuit, keys: Sequence[LockingKey], samples: Optional[int], seed: int
+) -> float:
+    """Share of (functional input pattern, key) pairs whose output word
+    differs from the correct key's; patterns as :func:`input_patterns`."""
+    corrupted = pairs = 0
+    for patterns in input_patterns(locked.functional_inputs(), samples, seed):
+        ref = keyed_outputs(locked, locked.correct_key, patterns)
+        for key in keys:
+            corrupted += _corrupted_lanes(keyed_outputs(locked, key, patterns), ref)
+        pairs += ref.shape[1] * len(keys)
+    return corrupted / pairs
+
+
 def compute_output_corruptibility(
     locked: LockedCircuit,
     mode: str = "exhaustive",
@@ -190,97 +213,46 @@ def compute_output_corruptibility(
     seed: int = 0,
 ) -> float:
     """Fraction of (input pattern, wrong key) pairs whose output word differs
-    from the original circuit's."""
+    from the original circuit's: every pattern and wrong key, or ``n_inputs``
+    random patterns and ``n_keys`` random wrong keys drawn from ``seed``."""
     _require_combinational(locked)
-    fins = locked.functional_inputs()
     k = locked.key_length
     if mode == "exhaustive":
-        if len(fins) + k > 24:
+        if len(locked.functional_inputs()) + k > 24:
             raise ValueError("exhaustive corruptibility limited to numPI + k <= 24")
-        total_inputs = 1 << len(fins)
-        corrupted = 0
-        total_pairs = 0
-        correct = locked.correct_key
-        for base in range(0, total_inputs, _CHUNK):
-            lanes = min(_CHUNK, total_inputs - base)
-            fin_mat = index_input_matrix(fins, lanes, offset=base)
-            ref_assign = dict(fin_mat)
-            for name, bit in key_assignment(locked, correct).items():
-                ref_assign[name] = np.full(lanes, bit, dtype=np.uint8)
-            ref = _outputs_matrix(locked.core, ref_assign)
-            for kv in range(1 << k):
-                key = LockingKey.from_int(kv, k)
-                if key.bits == correct.bits:
-                    continue
-                assign = dict(fin_mat)
-                for name, bit in key_assignment(locked, key).items():
-                    assign[name] = np.full(lanes, bit, dtype=np.uint8)
-                got = _outputs_matrix(locked.core, assign)
-                corrupted += int(np.any(got != ref, axis=0).sum())
-                total_pairs += lanes
-        return corrupted / total_pairs
+        correct = _key_to_int(locked.correct_key)
+        keys = [LockingKey.from_int(v, k) for v in range(1 << k) if v != correct]
+        return _corrupted_share(locked, keys, None, seed)
     if mode == "sampled":
-        rng = random.Random(seed)
-        nprng = np.random.default_rng(seed)
-        fin_mat = {
-            n: nprng.integers(0, 2, n_inputs, dtype=np.uint8) for n in fins
-        }
-        ref_assign = dict(fin_mat)
-        for name, bit in key_assignment(locked, locked.correct_key).items():
-            ref_assign[name] = np.full(n_inputs, bit, dtype=np.uint8)
-        ref = _outputs_matrix(locked.core, ref_assign)
-        corrupted = 0
-        for key in _wrong_keys(rng, locked, n_keys):
-            assign = dict(fin_mat)
-            for name, bit in key_assignment(locked, key).items():
-                assign[name] = np.full(n_inputs, bit, dtype=np.uint8)
-            got = _outputs_matrix(locked.core, assign)
-            corrupted += int(np.any(got != ref, axis=0).sum())
-        return corrupted / (n_inputs * n_keys)
+        keys = _wrong_keys(random.Random(seed), locked, n_keys)
+        return _corrupted_share(locked, keys, n_inputs, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def compute_ker(locked: LockedCircuit, key: LockingKey) -> float:
     """Key execution rate: fraction of input minterms the given key corrupts."""
     _require_combinational(locked)
-    fins = locked.functional_inputs()
-    if len(fins) > 22:
+    if len(locked.functional_inputs()) > 22:
         raise ValueError("KER enumeration limited to 22 functional inputs")
-    total = 1 << len(fins)
-    corrupted = 0
-    for base in range(0, total, _CHUNK):
-        lanes = min(_CHUNK, total - base)
-        fin_mat = index_input_matrix(fins, lanes, offset=base)
-        ref_assign = dict(fin_mat)
-        got_assign = dict(fin_mat)
-        for name, bit in key_assignment(locked, locked.correct_key).items():
-            ref_assign[name] = np.full(lanes, bit, dtype=np.uint8)
-        for name, bit in key_assignment(locked, key).items():
-            got_assign[name] = np.full(lanes, bit, dtype=np.uint8)
-        ref = _outputs_matrix(locked.core, ref_assign)
-        got = _outputs_matrix(locked.core, got_assign)
-        corrupted += int(np.any(got != ref, axis=0).sum())
-    return corrupted / total
+    return _corrupted_share(locked, [key], None, 0)
 
 
 def compute_ier(locked: LockedCircuit, minterm: Mapping[str, int]) -> float:
     """Incorrect execution rate of one minterm over all 2^k - 1 wrong keys."""
     _require_combinational(locked)
-    fins = locked.functional_inputs()
     k = locked.key_length
     if k > 22:
         raise ValueError("IER enumeration limited to 22 key bits")
-    lanes = 1 << k
-    assign = {
-        n: np.full(lanes, int(minterm[n]) & 1, dtype=np.uint8) for n in fins
-    }
-    assign.update(index_input_matrix(locked.key_inputs, lanes))
-    got = _outputs_matrix(locked.core, assign)
-    correct_lane = _key_to_int(locked.correct_key)
-    ref = got[:, correct_lane : correct_lane + 1]
-    diff = np.any(got != ref, axis=0)
-    diff[correct_lane] = False
-    return int(diff.sum()) / (lanes - 1)
+    bits = {n: int(minterm[n]) & 1 for n in locked.functional_inputs()}
+    point = {n: np.full(1, bit, dtype=np.uint8) for n, bit in bits.items()}
+    ref = keyed_outputs(locked, locked.correct_key, point)
+    corrupted = 0
+    for keys in input_patterns(locked.key_inputs):
+        lanes = len(next(iter(keys.values())))
+        assign = {n: np.full(lanes, bit, dtype=np.uint8) for n, bit in bits.items()}
+        assign.update(keys)
+        corrupted += _corrupted_lanes(_outputs_matrix(locked.core, assign), ref)
+    return corrupted / ((1 << k) - 1)
 
 
 # -- serialization -------------------------------------------------------------

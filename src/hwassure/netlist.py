@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -379,15 +379,6 @@ def _batch_nets(
     return values
 
 
-def random_input_matrix(
-    circuit: Circuit, lanes: int, rng: np.random.Generator
-) -> Dict[str, np.ndarray]:
-    return {
-        pi: rng.integers(0, 2, size=lanes, dtype=np.uint8)
-        for pi in circuit.primary_inputs
-    }
-
-
 def index_input_matrix(nets: Sequence[str], lanes: int, offset: int = 0) -> Dict[str, np.ndarray]:
     """Assign lane index bits to nets: net i carries bit i of (lane + offset).
 
@@ -398,6 +389,30 @@ def index_input_matrix(nets: Sequence[str], lanes: int, offset: int = 0) -> Dict
         net: ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
         for i, net in enumerate(nets)
     }
+
+
+# Lanes per exhaustive chunk; batch_evaluate holds one array this long per net.
+_PATTERN_CHUNK = 1 << 14
+
+
+def input_patterns(
+    nets: Sequence[str], samples: Optional[int] = None, seed: int = 0
+) -> Iterator[Dict[str, np.ndarray]]:
+    """Lane matrices assigning ``nets``, in the form :func:`batch_evaluate` takes.
+
+    With ``samples=None`` the yielded chunks together hold every assignment
+    once, in :func:`index_input_matrix` order. Otherwise one batch of
+    ``samples`` lanes is drawn net by net from ``np.random.default_rng(seed)``.
+    """
+    if samples is None:
+        total = 1 << len(nets)
+        for offset in range(0, total, _PATTERN_CHUNK):
+            yield index_input_matrix(nets, min(_PATTERN_CHUNK, total - offset), offset)
+        return
+    if samples < 1:
+        raise ValueError("need at least one pattern")
+    rng = np.random.default_rng(seed)
+    yield {net: rng.integers(0, 2, samples, dtype=np.uint8) for net in nets}
 
 
 # -- metadata ----------------------------------------------------------------

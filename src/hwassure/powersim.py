@@ -213,15 +213,20 @@ def load_subsystem_config(payload: Mapping[str, object], base_dir: str = ".") ->
     aes = payload.get("aes", {})
     if not isinstance(aes, Mapping):
         raise ValueError("config field 'aes' must be an object")
+    if type(aes.get("enabled", True)) is not bool:
+        raise ValueError("config field 'aes.enabled' must be true or false")
     entries = payload.get("noise_ips", [])
     if not isinstance(entries, list) or not all(isinstance(e, Mapping) for e in entries):
         raise ValueError("config field 'noise_ips' must be a list of objects")
     ips = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         ref = str(entry["bench"])
         if not ref.startswith("pkg:") and not os.path.isabs(ref):
             ref = os.path.join(base_dir, ref)
-        ips.append((load_bench_ref(ref), int(entry.get("seed", 0))))
+        seed = entry.get("seed", 0)
+        if type(seed) is not int:
+            raise ValueError(f"config field 'noise_ips[{i}].seed' must be an integer")
+        ips.append((load_bench_ref(ref), seed))
     scheduler = payload.get("scheduler")
     if scheduler is not None:
         try:
@@ -229,7 +234,7 @@ def load_subsystem_config(payload: Mapping[str, object], base_dir: str = ".") ->
         except (TypeError, ValueError):
             raise ValueError("config field 'scheduler' must be a list of integer rows") from None
     return SubsystemConfig(
-        noise_ips=tuple(ips), aes_core=bool(aes.get("enabled", True)), scheduler=scheduler
+        noise_ips=tuple(ips), aes_core=aes.get("enabled", True), scheduler=scheduler
     )
 
 

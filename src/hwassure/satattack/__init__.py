@@ -9,7 +9,7 @@ from .attack import (
     verify_recovered_key,
 )
 from .cnf import CnfFormula, parse_dimacs, to_dimacs, tseitin_encode
-from .solver import CdclSolver, DimacsSolver, SolverBudgetExceeded, solve
+from .solver import CdclSolver, DimacsSolver, SolverBudgetExceeded, make_solver, solve
 
 __all__ = [
     "AttackResult",
@@ -20,6 +20,7 @@ __all__ = [
     "SolverBudgetExceeded",
     "attack_report",
     "build_platform_instance",
+    "make_solver",
     "parse_dimacs",
     "sat_attack",
     "solve",

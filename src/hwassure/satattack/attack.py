@@ -18,11 +18,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..locking import LockedCircuit, LockingKey, insert_random_locking, key_assignment
-from ..netlist import Circuit, NetlistError, batch_evaluate, evaluate, index_input_matrix
+from ..locking import LockedCircuit, LockingKey, insert_random_locking, keyed_outputs
+from ..netlist import Circuit, NetlistError, batch_evaluate, evaluate, input_patterns
 from ..platform_model import ScanTopology, compose_platform_frame, frame
-from .cnf import CnfFormula, tseitin_encode, to_dimacs
-from .solver import CdclSolver, DimacsSolver, SolverBudgetExceeded
+from .cnf import tseitin_encode
+from .solver import SolverBudgetExceeded, make_solver
 
 
 class CircuitOracle:
@@ -60,53 +60,10 @@ class AttackResult:
         return [dip for dip, _ in self.dip_trace]
 
 
-class _BuiltinBackend:
-    """Incremental clause store on the bundled CDCL solver."""
-
-    def __init__(self):
-        self.solver = CdclSolver()
-        self.nvars = 0
-
-    def new_var(self) -> int:
-        self.nvars += 1
-        self.solver.ensure_vars(self.nvars)
-        return self.nvars
-
-    def add_clause(self, lits: Sequence[int]) -> None:
-        self.solver.add_clause(lits)
-
-    def solve(self, assumptions: Sequence[int], time_budget_s: Optional[float]):
-        if self.solver.solve(assumptions, time_budget_s=time_budget_s):
-            return self.solver.model
-        return None
-
-
-class _DimacsBackend:
-    """Non-incremental adapter: replays the clause list per call."""
-
-    def __init__(self, path: str):
-        self.external = DimacsSolver(path)
-        self.nvars = 0
-        self.clauses: List[Tuple[int, ...]] = []
-
-    def new_var(self) -> int:
-        self.nvars += 1
-        return self.nvars
-
-    def add_clause(self, lits: Sequence[int]) -> None:
-        self.clauses.append(tuple(lits))
-
-    def solve(self, assumptions: Sequence[int], time_budget_s: Optional[float]):
-        self.external.timeout_s = time_budget_s
-        return self.external.solve(CnfFormula(self.nvars, list(self.clauses)), assumptions)
-
-
-def _make_backend(solver: str):
-    if solver == "builtin":
-        return _BuiltinBackend()
-    if solver.startswith("dimacs:"):
-        return _DimacsBackend(solver[len("dimacs:"):])
-    raise ValueError(f"unknown solver spec {solver!r}")
+# Recovered-key check: every functional input pattern up to this many
+# inputs, otherwise this many seeded random patterns.
+VERIFY_EXHAUSTIVE_LIMIT = 16
+VERIFY_SAMPLES = 10000
 
 
 def sat_attack(
@@ -116,8 +73,6 @@ def sat_attack(
     max_iterations: Optional[int] = None,
     solver: str = "builtin",
     verify: bool = True,
-    verify_samples: int = 10000,
-    verify_exhaustive_limit: int = 16,
     verify_seed: int = 0,
 ) -> AttackResult:
     """Recover a functionally correct key from a locked model and an oracle."""
@@ -135,20 +90,20 @@ def sat_attack(
     base = tseitin_encode(core)
     nbase = base.num_variables
     shared_vars = {base.net_to_var[n] for n in shared}
-    backend = _make_backend(solver)
+    sat = make_solver(solver)
     for _ in range(nbase):
-        backend.new_var()
+        sat.new_var()
 
     def remap_block(bound: Dict[int, int]) -> List[int]:
         """Fresh variable block for one circuit copy; ``bound`` pins nets."""
         m = [0] * (nbase + 1)
         for v in range(1, nbase + 1):
-            m[v] = bound.get(v) or backend.new_var()
+            m[v] = bound.get(v) or sat.new_var()
         return m
 
     def add_copy(mapping: Sequence[int]) -> None:
         for clause in base.clauses:
-            backend.add_clause([mapping[l] if l > 0 else -mapping[-l] for l in clause])
+            sat.add_clause([mapping[l] if l > 0 else -mapping[-l] for l in clause])
 
     # copy A is the identity block
     ident = list(range(nbase + 1))
@@ -164,12 +119,12 @@ def sat_attack(
     diff_lits = []
     for net in outputs:
         a, b = base.net_to_var[net], map_b[base.net_to_var[net]]
-        d = backend.new_var()
-        backend.add_clause([-d, a, b])
-        backend.add_clause([-d, -a, -b])
+        d = sat.new_var()
+        sat.add_clause([-d, a, b])
+        sat.add_clause([-d, -a, -b])
         diff_lits.append(d)
-    miter_lit = backend.new_var()
-    backend.add_clause([-miter_lit] + diff_lits)
+    miter_lit = sat.new_var()
+    sat.add_clause([-miter_lit] + diff_lits)
 
     shared_var_list = [base.net_to_var[n] for n in shared]
     out_var_list = [base.net_to_var[n] for n in outputs]
@@ -194,11 +149,11 @@ def sat_attack(
         if max_iterations is not None and len(dip_trace) >= max_iterations:
             return timed_out_result()
         try:
-            model = backend.solve([miter_lit], time_budget_s=remaining)
+            if not sat.solve([miter_lit], time_budget_s=remaining):
+                break
         except SolverBudgetExceeded:
             return timed_out_result()
-        if model is None:
-            break
+        model = sat.model
         dip_bits = tuple(int(model[v]) for v in shared_var_list)
         response = oracle.query(dict(zip(shared, dip_bits)))
         out_bits = tuple(int(response[n]) for n in outputs)
@@ -210,20 +165,19 @@ def sat_attack(
             block = remap_block(pinned)
             add_copy(block)
             for v, bit in zip(shared_var_list, dip_bits):
-                backend.add_clause([block[v] if bit else -block[v]])
+                sat.add_clause([block[v] if bit else -block[v]])
             for v, bit in zip(out_var_list, out_bits):
-                backend.add_clause([block[v] if bit else -block[v]])
+                sat.add_clause([block[v] if bit else -block[v]])
 
     remaining = budget()
     if remaining <= 0:
         return timed_out_result()
     try:
-        model = backend.solve([], time_budget_s=remaining)
+        if not sat.solve([], time_budget_s=remaining):
+            raise RuntimeError("key extraction is unsatisfiable; attack bookkeeping is broken")
     except SolverBudgetExceeded:
         return timed_out_result()
-    if model is None:
-        raise RuntimeError("key extraction is unsatisfiable; attack bookkeeping is broken")
-    key = LockingKey(tuple(int(model[v]) for v in key_vars_a))
+    key = LockingKey(tuple(int(sat.model[v]) for v in key_vars_a))
     result = AttackResult(
         recovered_key=key,
         iterations=len(dip_trace),
@@ -232,14 +186,7 @@ def sat_attack(
         dip_trace=dip_trace,
     )
     if verify:
-        result.verified = verify_recovered_key(
-            locked,
-            key,
-            oracle.circuit,
-            samples=verify_samples,
-            exhaustive_limit=verify_exhaustive_limit,
-            seed=verify_seed,
-        )
+        result.verified = verify_recovered_key(locked, key, oracle.circuit, seed=verify_seed)
     return result
 
 
@@ -247,38 +194,23 @@ def verify_recovered_key(
     locked: LockedCircuit,
     key: LockingKey,
     oracle_circuit: Circuit,
-    samples: int = 10000,
-    exhaustive_limit: int = 16,
     seed: int = 0,
 ) -> bool:
     """I/O equivalence of the keyed model against the oracle circuit.
 
-    Exhaustive when the functional input count is small enough, otherwise
-    a fixed-seed random sample; zero mismatches required either way.
+    Exhaustive up to ``VERIFY_EXHAUSTIVE_LIMIT`` functional inputs,
+    otherwise ``VERIFY_SAMPLES`` patterns drawn from ``seed``; zero
+    mismatches required either way.
     """
     shared = locked.functional_inputs()
-    outputs = tuple(dict.fromkeys(oracle_circuit.primary_outputs))
-    key_bits = key_assignment(locked, key)
-
-    def check(fin_mat: Dict[str, np.ndarray], lanes: int) -> bool:
-        assign = dict(fin_mat)
-        for name, bit in key_bits.items():
-            assign[name] = np.full(lanes, bit, dtype=np.uint8)
-        got, _ = batch_evaluate(locked.core, assign)
-        ref, _ = batch_evaluate(oracle_circuit, fin_mat)
-        return all(bool(np.array_equal(got[o], ref[o])) for o in outputs)
-
-    if len(shared) <= exhaustive_limit:
-        total = 1 << len(shared)
-        chunk = 1 << 14
-        for b in range(0, total, chunk):
-            lanes = min(chunk, total - b)
-            if not check(index_input_matrix(shared, lanes, offset=b), lanes):
-                return False
-        return True
-    rng = np.random.default_rng(seed)
-    mat = {n: rng.integers(0, 2, samples, dtype=np.uint8) for n in shared}
-    return check(mat, samples)
+    samples = None if len(shared) <= VERIFY_EXHAUSTIVE_LIMIT else VERIFY_SAMPLES
+    for patterns in input_patterns(shared, samples, seed):
+        got = keyed_outputs(locked, key, patterns)
+        ref, _ = batch_evaluate(oracle_circuit, patterns)
+        rows = zip(got, locked.core.primary_outputs)
+        if not all(np.array_equal(row, ref[po]) for row, po in rows):
+            return False
+    return True
 
 
 def build_platform_instance(

@@ -27,7 +27,7 @@ import os
 import subprocess
 import tempfile
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cnf import CnfFormula, to_dimacs
 
@@ -132,11 +132,6 @@ class CdclSolver:
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
         return True
-
-    def add_formula(self, formula: CnfFormula) -> None:
-        self.ensure_vars(formula.num_variables)
-        for clause in formula.clauses:
-            self.add_clause(clause)
 
     # -- decision heap ---------------------------------------------------------
 
@@ -480,6 +475,17 @@ class CdclSolver:
             self._enqueue((v << 1) | (self.polarity[v] ^ 1), None)
 
 
+def make_solver(spec: str) -> Union[CdclSolver, "DimacsSolver"]:
+    """The solver named by ``spec``: 'builtin' for :class:`CdclSolver`, or
+    'dimacs:<path>' for an external DIMACS solver binary. Both offer
+    ``new_var``, ``add_clause``, ``solve`` and ``model``."""
+    if spec == "builtin":
+        return CdclSolver()
+    if isinstance(spec, str) and spec.startswith("dimacs:") and len(spec) > len("dimacs:"):
+        return DimacsSolver(spec[len("dimacs:"):])
+    raise ValueError(f"unknown solver spec {spec!r}; expected 'builtin' or 'dimacs:PATH'")
+
+
 def solve(
     formula: CnfFormula,
     assumptions: Sequence[int] = (),
@@ -487,37 +493,56 @@ def solve(
     max_conflicts: Optional[int] = None,
     time_budget_s: Optional[float] = None,
 ) -> Optional[List[Optional[bool]]]:
-    """One-shot satisfiability check.
-
-    Returns a model indexed by variable (entry 0 unused) or None when
-    unsatisfiable. ``solver`` is 'builtin' or 'dimacs:<path>' to shell out
-    to an external DIMACS solver binary.
-    """
-    if solver == "builtin":
-        s = CdclSolver()
-        s.add_formula(formula)
-        if s.solve(assumptions, max_conflicts=max_conflicts, time_budget_s=time_budget_s):
-            return s.model
-        return None
-    if solver.startswith("dimacs:"):
-        return DimacsSolver(solver[len("dimacs:"):]).solve(formula, assumptions)
-    raise ValueError(f"unknown solver spec {solver!r}")
+    """One-shot satisfiability check on the solver named by ``solver`` (see
+    :func:`make_solver`). Returns a model indexed by variable (entry 0
+    unused) or None when unsatisfiable."""
+    s = make_solver(solver)
+    for _ in range(formula.num_variables):
+        s.new_var()
+    for clause in formula.clauses:
+        s.add_clause(clause)
+    if s.solve(assumptions, max_conflicts=max_conflicts, time_budget_s=time_budget_s):
+        return s.model
+    return None
 
 
 class DimacsSolver:
-    """Adapter for an external solver speaking the SAT-competition format."""
+    """External solver speaking the SAT-competition format, behind the
+    interface of :class:`CdclSolver`. It is not incremental: clauses accrue
+    here, and each ``solve`` writes all of them, with the assumptions as
+    unit clauses, and runs the binary once."""
 
-    def __init__(self, path: str, timeout_s: Optional[float] = None):
+    def __init__(self, path: str):
         self.path = path
-        self.timeout_s = timeout_s
+        self.nvars = 0
+        self.clauses: List[Tuple[int, ...]] = []
+        self.model: Optional[List[Optional[bool]]] = None
+
+    def new_var(self) -> int:
+        self.nvars += 1
+        return self.nvars
+
+    def add_clause(self, lits: Iterable[int]) -> bool:
+        clause = tuple(lits)
+        self.nvars = max([self.nvars] + [abs(l) for l in clause])
+        self.clauses.append(clause)
+        return True
 
     def solve(
-        self, formula: CnfFormula, assumptions: Sequence[int] = ()
-    ) -> Optional[List[Optional[bool]]]:
-        work = CnfFormula(formula.num_variables, list(formula.clauses))
-        for l in assumptions:
-            work.clauses.append((l,))
-            work.num_variables = max(work.num_variables, abs(l))
+        self,
+        assumptions: Sequence[int] = (),
+        max_conflicts: Optional[int] = None,
+        time_budget_s: Optional[float] = None,
+    ) -> bool:
+        """True: self.model holds an assignment. False: unsatisfiable under
+        the assumptions. The time budget bounds the external process."""
+        self.model = None
+        if max_conflicts is not None:
+            raise ValueError("an external solver takes no conflict budget")
+        work = CnfFormula(
+            max([self.nvars] + [abs(l) for l in assumptions]),
+            self.clauses + [(l,) for l in assumptions],
+        )
         with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
             fh.write(to_dimacs(work))
             path = fh.name
@@ -526,7 +551,7 @@ class DimacsSolver:
                 [self.path, path],
                 capture_output=True,
                 text=True,
-                timeout=self.timeout_s,
+                timeout=time_budget_s,
             )
         except subprocess.TimeoutExpired as exc:
             raise SolverBudgetExceeded("external solver hit the time budget") from exc
@@ -534,7 +559,7 @@ class DimacsSolver:
             os.unlink(path)
         out = proc.stdout
         if "s UNSATISFIABLE" in out or proc.returncode == 20:
-            return None
+            return False
         if "s SATISFIABLE" not in out and proc.returncode != 10:
             raise RuntimeError(
                 f"external solver gave no verdict (rc={proc.returncode}): {out[:200]}"
@@ -548,4 +573,5 @@ class DimacsSolver:
                         continue
                     if abs(lit) <= work.num_variables:
                         model[abs(lit)] = lit > 0
-        return model
+        self.model = model
+        return True

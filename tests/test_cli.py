@@ -271,15 +271,23 @@ def malformed_inputs(tmp_path_factory):
     """Inputs of the wrong JSON shape, kept outside ``tmp_path`` so that a
     test can assert that nothing was written there."""
     root = tmp_path_factory.mktemp("malformed")
+    grid = {"benches": ["pkg:c17"], "key_lengths": [2], "crs": [1], "seeds": [0]}
     for name, payload in (
         ("noise_ips.json", {"noise_ips": [1]}),
         ("aes.json", {"aes": True}),
         ("scheduler.json", {"scheduler": 5}),
-        ("grid.json", {"benches": ["pkg:c17"], "key_lengths": [None], "crs": [1], "seeds": [0]}),
+        ("noise_seed.json", {"noise_ips": [{"bench": "pkg:s298", "seed": None}]}),
+        ("aes_enabled.json", {"aes": {"enabled": "no"}}),
+        ("grid.json", dict(grid, key_lengths=[None])),
+        ("grid_timeout.json", dict(grid, timeout_s=None)),
+        ("grid_channels.json", dict(grid, channels=None)),
+        ("grid_iterations.json", dict(grid, max_iterations="x")),
+        ("grid_solver.json", dict(grid, solver="nope")),
         ("records/list.json", [1]),
     ):
         (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(json.dumps(payload))
+    (root / "empty.txt").write_text("")
     return root
 
 
@@ -294,12 +302,21 @@ def malformed_inputs(tmp_path_factory):
         ["psc-measure", "--config", "{bad}/noise_ips.json", "--out", "{tmp}/psc"],
         ["psc-measure", "--config", "{bad}/aes.json", "--out", "{tmp}/psc"],
         ["psc-measure", "--config", "{bad}/scheduler.json", "--out", "{tmp}/psc"],
+        ["psc-measure", "--config", "{bad}/noise_seed.json", "--out", "{tmp}/psc"],
+        ["psc-measure", "--config", "{bad}/aes_enabled.json", "--out", "{tmp}/psc"],
         ["attack", "--config", "{bad}/grid.json", "--out", "{tmp}/runs"],
+        ["attack", "--config", "{bad}/grid_timeout.json", "--out", "{tmp}/runs"],
+        ["attack", "--config", "{bad}/grid_channels.json", "--out", "{tmp}/runs"],
+        ["attack", "--config", "{bad}/grid_iterations.json", "--out", "{tmp}/runs"],
+        ["attack", "--config", "{bad}/grid_solver.json", "--out", "{tmp}/runs"],
         ["report", "--kind", "sat", "--records", "{bad}/records", "--out", "{tmp}/r.csv"],
+        ["metrics", "puf", "--responses", "{bad}/empty.txt", "--intra"],
     ],
     ids=["unknown-node", "unknown-pkg", "oversized-key", "missing-bench", "missing-csv",
-         "noise-ip-not-object", "aes-not-object", "scheduler-not-rows", "null-key-length",
-         "record-not-object"],
+         "noise-ip-not-object", "aes-not-object", "scheduler-not-rows", "null-noise-seed",
+         "aes-enabled-not-bool", "null-key-length", "null-timeout", "null-channels",
+         "string-max-iterations", "unknown-solver", "record-not-object",
+         "empty-puf-responses"],
 )
 def test_library_input_error_exits_2_with_one_error_line(
     argv, tmp_path, capsys, malformed_inputs

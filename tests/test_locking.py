@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hwassure.benchgen import synth_circuit
 from hwassure.bundled import load_bundled
 from hwassure.locking import (
     LockedCircuit,
@@ -15,6 +17,7 @@ from hwassure.locking import (
     save_locked,
 )
 from hwassure.netlist import NetlistError, evaluate, make_circuit, write_bench
+from hwassure.satattack import verify_recovered_key
 
 
 def all_patterns(nets):
@@ -93,6 +96,42 @@ def test_functional_preservation_random_seeds():
             ref, _ = evaluate(c17, pattern)
             got, _ = evaluate_locked(locked, locked.correct_key, pattern)
             assert got == ref
+
+
+@st.composite
+def small_locked_designs(draw):
+    """A random combinational circuit of at most 10 gates and its random lock."""
+    kinds = draw(st.fixed_dictionaries({
+        "AND": st.integers(1, 3),
+        "XOR": st.integers(0, 3),
+        "NOR": st.integers(0, 2),
+        "NOT": st.integers(0, 2),
+    }))
+    gates = sum(kinds.values())
+    circuit = synth_circuit(
+        "prop", draw(st.integers(2, 5)), draw(st.integers(1, min(3, gates))), 0, kinds,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    locked = insert_random_locking(
+        circuit, draw(st.integers(1, min(4, gates))), seed=draw(st.integers(0, 2**16))
+    )
+    return circuit, locked
+
+
+@settings(max_examples=60, deadline=None)
+@given(design=small_locked_designs(), data=st.data())
+def test_keyed_checks_agree_with_brute_force(design, data):
+    circuit, locked = design
+    k = locked.key_length
+    brute = {v: brute_force_corruption(locked, LockingKey.from_int(v, k)) for v in range(1 << k)}
+    for v in data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=4)):
+        key = LockingKey.from_int(v, k)
+        assert compute_ker(locked, key) == brute[v]
+        assert verify_recovered_key(locked, key, circuit) is (brute[v] == 0)
+    wrong = [ker for v, ker in brute.items() if LockingKey.from_int(v, k) != locked.correct_key]
+    assert compute_output_corruptibility(locked, mode="exhaustive") == pytest.approx(
+        sum(wrong) / len(wrong)
+    )
 
 
 def test_corruptibility_matches_brute_force_and_mean_ker():

@@ -12,9 +12,9 @@ from hwassure.netlist import (
     evaluate,
     extract_metadata,
     index_input_matrix,
+    input_patterns,
     make_circuit,
     parse_bench,
-    random_input_matrix,
     write_bench,
 )
 
@@ -158,7 +158,7 @@ def test_batch_evaluate_matches_scalar():
     c = load_bundled("s344")
     rng = np.random.default_rng(7)
     lanes = 40
-    ins = random_input_matrix(c, lanes, rng)
+    ins = next(input_patterns(c.primary_inputs, lanes, seed=6))
     st = {ff.output: rng.integers(0, 2, lanes, dtype=np.uint8) for ff in c.flip_flops}
     bout, bnxt = batch_evaluate(c, ins, st)
     for lane in range(lanes):
