@@ -289,28 +289,36 @@ def _write_attack_outputs(records: List[Record], out_dir: str) -> None:
             fh.write(records_to_csv(measurements))
 
 
+# Run limits of an attack: field, test, and what the test asks for.
+_ATTACK_LIMITS = (
+    ("timeout_s", lambda v: type(v) in (int, float) and v > 0, "a positive number"),
+    ("max_iterations", lambda v: v is None or (type(v) is int and v > 0),
+     "a positive integer or null"),
+    ("channels", lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
+)
+
+
 def _attack_cell(
     bench: object, key_length: int, cr: int, seed: int, settings: Mapping[str, object]
 ) -> Record:
     """One attack job. ``settings`` is the batch config or, in single mode,
-    the parsed arguments; either supplies the run limits."""
-    return {
+    the parsed arguments; either supplies the run limits, and a limit of
+    the wrong type or out of range raises ``ValueError`` naming it."""
+    job = {
         "bench": bench,
         "key_length": key_length,
         "cr": cr,
         "seed": seed,
-        "timeout_s": float(settings.get("timeout_s", 600.0)),
+        "timeout_s": settings.get("timeout_s", 600.0),
         "solver": str(settings.get("solver", "builtin")),
         "max_iterations": settings.get("max_iterations"),
-        "channels": int(settings.get("channels", 1)),
+        "channels": settings.get("channels", 1),
     }
-
-
-_ATTACK_SETTING_TYPES = (
-    ("timeout_s", (int, float), "a number"),
-    ("max_iterations", (int, type(None)), "an integer or null"),
-    ("channels", (int,), "an integer"),
-)
+    for field, valid, what in _ATTACK_LIMITS:
+        if not valid(job[field]):
+            raise ValueError(f"attack limit {field!r} must be {what}, got {job[field]!r}")
+    job["timeout_s"] = float(job["timeout_s"])
+    return job
 
 
 def _batch_jobs(config: Record) -> List[Record]:
@@ -322,9 +330,6 @@ def _batch_jobs(config: Record) -> List[Record]:
             raise ValueError(f"config field {field!r} must be a non-empty list")
         if field != "benches" and not all(type(v) is int for v in value):
             raise ValueError(f"config field {field!r} must list integers")
-    for field, types, what in _ATTACK_SETTING_TYPES:
-        if field in config and type(config[field]) not in types:
-            raise ValueError(f"config field {field!r} must be {what}")
     try:
         make_solver(config.get("solver", "builtin"))
     except ValueError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,6 +163,26 @@ def make_circuit(
     return Circuit(name, gates, primary_inputs, primary_outputs)
 
 
+def fanout_cone(circuit: Circuit, nets: Iterable[str]) -> FrozenSet[str]:
+    """``nets`` and every net that reads one of them, directly or through
+    other gates (DFFs included)."""
+    readers: Dict[str, List[str]] = {net: [] for net in circuit.nets()}
+    for g in circuit.gates:
+        for net in g.inputs:
+            readers[net].append(g.output)
+    cone = set()
+    stack = list(nets)
+    while stack:
+        net = stack.pop()
+        if net in cone:
+            continue
+        if net not in readers:
+            raise NetlistError(f"unknown net {net!r}")
+        cone.add(net)
+        stack.extend(readers[net])
+    return frozenset(cone)
+
+
 # -- bench format ------------------------------------------------------------
 
 _GATE_RE = re.compile(r"^([^\s=]+)\s*=\s*([A-Za-z]+)\s*\((.*)\)$")
@@ -277,16 +297,17 @@ def evaluate(
     circuit: Circuit,
     inputs: Mapping[str, int],
     state: Optional[Mapping[str, int]] = None,
+    all_nets: bool = False,
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """One combinational evaluation.
 
     ``inputs`` assigns every primary input; ``state`` assigns every DFF
     output net. Returns (primary output values, next state keyed by DFF
     output net), where the next state of a DFF is the value sampled at its
-    D pin.
+    D pin; with ``all_nets`` the first dict maps every net.
     """
     values = _evaluate_nets(circuit, inputs, state)
-    outputs = {po: values[po] for po in circuit.primary_outputs}
+    outputs = values if all_nets else {po: values[po] for po in circuit.primary_outputs}
     next_state = {ff.output: values[ff.inputs[0]] for ff in circuit.flip_flops}
     return outputs, next_state
 

@@ -220,6 +220,8 @@ def load_subsystem_config(payload: Mapping[str, object], base_dir: str = ".") ->
         raise ValueError("config field 'noise_ips' must be a list of objects")
     ips = []
     for i, entry in enumerate(entries):
+        if "bench" not in entry:
+            raise ValueError(f"config field 'noise_ips[{i}].bench' is required")
         ref = str(entry["bench"])
         if not ref.startswith("pkg:") and not os.path.isabs(ref):
             ref = os.path.join(base_dir, ref)

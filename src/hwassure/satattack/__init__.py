@@ -3,6 +3,7 @@
 from .attack import (
     AttackResult,
     CircuitOracle,
+    Miter,
     attack_report,
     build_platform_instance,
     sat_attack,
@@ -17,6 +18,7 @@ __all__ = [
     "CnfFormula",
     "CdclSolver",
     "DimacsSolver",
+    "Miter",
     "SolverBudgetExceeded",
     "attack_report",
     "build_platform_instance",

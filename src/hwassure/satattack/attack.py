@@ -7,22 +7,40 @@ disagree on it. Each DIP is resolved against the oracle and both key
 copies are constrained to reproduce the oracle's response, pruning every
 key inconsistent with the observation. When no DIP remains, any key
 satisfying the accumulated constraints is I/O-equivalent to the oracle,
-and one is extracted with a final solver call.
+and one is extracted with a final solver call (Subramanyan, Ray and Malik,
+HOST 2015).
+
+Only the key's fanout cone can differ between the copies, so the miter
+encodes only that cone twice. Copy A is the whole core. Copy B reads copy
+A's variable for every net outside the cone, which is the structural
+sharing step of equivalence checking (Kuehlmann and Krohm, DAC 1997):
+its clauses cover the cone's gates alone, and only outputs inside the
+cone get a difference literal. Each DIP constraint likewise encodes the
+cone alone, once per key copy. The DIP fixes every net outside the cone,
+so one evaluation of the core gives those nets as constants, and they
+are folded into the cone's gates as it is encoded.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..locking import LockedCircuit, LockingKey, insert_random_locking, keyed_outputs
-from ..netlist import Circuit, NetlistError, batch_evaluate, evaluate, input_patterns
+from ..netlist import (
+    Circuit,
+    NetlistError,
+    batch_evaluate,
+    evaluate,
+    fanout_cone,
+    input_patterns,
+)
 from ..platform_model import ScanTopology, compose_platform_frame, frame
-from .cnf import tseitin_encode
-from .solver import SolverBudgetExceeded, make_solver
+from .cnf import CnfFormula, Value, encode_folded, tseitin_encode
+from .solver import CdclSolver, DimacsSolver, SolverBudgetExceeded, make_solver
 
 
 class CircuitOracle:
@@ -66,6 +84,103 @@ VERIFY_EXHAUSTIVE_LIMIT = 16
 VERIFY_SAMPLES = 10000
 
 
+class Miter:
+    """Two copies of a locked core under separate keys, driven by the same
+    functional inputs, plus the I/O constraints the attack has added on
+    both keys. ``sat`` is an empty solver (see :func:`make_solver`)."""
+
+    def __init__(self, locked: LockedCircuit, sat: Union[CdclSolver, DimacsSolver]):
+        core = locked.core
+        if not core.is_combinational:
+            raise NetlistError("attack model must be combinational; compose the platform first")
+        self.locked = locked
+        self.sat = sat
+        self.inputs = locked.functional_inputs()
+        self.outputs = tuple(dict.fromkeys(core.primary_outputs))
+        self._cone = cone = fanout_cone(core, locked.key_inputs)
+        self._cone_gates = [g for g in core.topo_gates() if g.output in cone]
+        # nets outside the cone that cone gates read
+        self._boundary = tuple(
+            dict.fromkeys(n for g in self._cone_gates for n in g.inputs if n not in cone)
+        )
+        self._key_zero = dict.fromkeys(locked.key_inputs, 0)
+        self.diff_outputs = tuple(n for n in self.outputs if n in cone)
+
+        base = tseitin_encode(core)
+        self._add(base)
+        var = base.net_to_var
+        self._input_vars = [var[n] for n in self.inputs]
+        key_b = [sat.new_var() for _ in locked.key_inputs]
+        self.key_vars = ([var[k] for k in locked.key_inputs], key_b)
+        copy_b = self._encode_cone({n: var[n] for n in self._boundary}, key_b)
+
+        diff_lits = []
+        for net in self.diff_outputs:
+            a, b = var[net], copy_b[net]
+            d = sat.new_var()
+            sat.add_clause([-d, a, b])
+            sat.add_clause([-d, -a, -b])
+            diff_lits.append(d)
+        self._miter_lit = sat.new_var()
+        sat.add_clause([-self._miter_lit] + diff_lits)
+
+    def _add(self, f: CnfFormula) -> None:
+        while self.sat.nvars < f.num_variables:
+            self.sat.new_var()
+        for clause in f.clauses:
+            self.sat.add_clause(clause)
+
+    def _encode_cone(self, boundary: Mapping[str, Value], key_vars: Sequence[int]) -> Dict[str, Value]:
+        """Encode the cone's gates over ``boundary`` (a value for each net in
+        ``self._boundary``) and ``key_vars``; returns every cone net's value."""
+        f = CnfFormula(self.sat.nvars)
+        values: Dict[str, Value] = dict(boundary)
+        values.update(zip(self.locked.key_inputs, key_vars))
+        for g in self._cone_gates:
+            values[g.output] = encode_folded(f, g.kind, [values[n] for n in g.inputs])
+        self._add(f)
+        return values
+
+    def find_dip(self, time_budget_s: float) -> Optional[Tuple[int, ...]]:
+        """A functional input pattern on which two keys still allowed
+        disagree, or None when no such pattern remains."""
+        if not self.sat.solve([self._miter_lit], time_budget_s=time_budget_s):
+            return None
+        model = self.sat.model
+        return tuple(int(model[v]) for v in self._input_vars)
+
+    def add_io_constraint(self, dip: Sequence[int], response: Sequence[int]) -> None:
+        """Require both key copies to give ``response`` (one bit per entry of
+        ``self.outputs``) on the functional input pattern ``dip``."""
+        # the key does not reach the nets read here, so any key will do
+        assign = {**dict(zip(self.inputs, dip)), **self._key_zero}
+        values, _ = evaluate(self.locked.core, assign, all_nets=True)
+        wanted = dict(zip(self.outputs, response))
+        for net, bit in wanted.items():
+            if net not in self._cone:
+                self._require(bool(values[net]), bit)
+        boundary = {n: bool(values[n]) for n in self._boundary}
+        for key_vars in self.key_vars:
+            cone = self._encode_cone(boundary, key_vars)
+            for net in self.diff_outputs:
+                self._require(cone[net], wanted[net])
+
+    def _require(self, value: Value, bit: int) -> None:
+        """Add ``value == bit``; a constant that differs from ``bit`` leaves
+        no key, so it adds the empty clause."""
+        if isinstance(value, bool):
+            if value != bit:
+                self.sat.add_clause([])
+        else:
+            self.sat.add_clause([value if bit else -value])
+
+    def extract_key(self, time_budget_s: float) -> LockingKey:
+        """A key of copy A that meets every constraint added so far."""
+        if not self.sat.solve([], time_budget_s=time_budget_s):
+            raise RuntimeError("key extraction is unsatisfiable; attack bookkeeping is broken")
+        return LockingKey(tuple(int(self.sat.model[v]) for v in self.key_vars[0]))
+
+
 def sat_attack(
     locked: LockedCircuit,
     oracle: CircuitOracle,
@@ -76,62 +191,13 @@ def sat_attack(
     verify_seed: int = 0,
 ) -> AttackResult:
     """Recover a functionally correct key from a locked model and an oracle."""
-    core = locked.core
-    if not core.is_combinational:
-        raise NetlistError("attack model must be combinational; compose the platform first")
     shared = locked.functional_inputs()
-    outputs = tuple(dict.fromkeys(core.primary_outputs))
     if tuple(sorted(oracle.input_names)) != tuple(sorted(shared)):
         raise ValueError("oracle inputs do not match the model's functional inputs")
-
     started = time.monotonic()
     deadline = started + time_limit_s
-
-    base = tseitin_encode(core)
-    nbase = base.num_variables
-    shared_vars = {base.net_to_var[n] for n in shared}
-    sat = make_solver(solver)
-    for _ in range(nbase):
-        sat.new_var()
-
-    def remap_block(bound: Dict[int, int]) -> List[int]:
-        """Fresh variable block for one circuit copy; ``bound`` pins nets."""
-        m = [0] * (nbase + 1)
-        for v in range(1, nbase + 1):
-            m[v] = bound.get(v) or sat.new_var()
-        return m
-
-    def add_copy(mapping: Sequence[int]) -> None:
-        for clause in base.clauses:
-            sat.add_clause([mapping[l] if l > 0 else -mapping[-l] for l in clause])
-
-    # copy A is the identity block
-    ident = list(range(nbase + 1))
-    add_copy(ident)
-    # copy B shares functional inputs, gets fresh everything else
-    map_b = remap_block({v: v for v in shared_vars})
-    add_copy(map_b)
-
-    key_vars_a = [base.net_to_var[k] for k in locked.key_inputs]
-    key_vars_b = [map_b[v] for v in key_vars_a]
-
-    # difference detector: diff var per output, OR'd into one assumption literal
-    diff_lits = []
-    for net in outputs:
-        a, b = base.net_to_var[net], map_b[base.net_to_var[net]]
-        d = sat.new_var()
-        sat.add_clause([-d, a, b])
-        sat.add_clause([-d, -a, -b])
-        diff_lits.append(d)
-    miter_lit = sat.new_var()
-    sat.add_clause([-miter_lit] + diff_lits)
-
-    shared_var_list = [base.net_to_var[n] for n in shared]
-    out_var_list = [base.net_to_var[n] for n in outputs]
+    miter = Miter(locked, make_solver(solver))
     dip_trace: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-
-    def budget() -> float:
-        return deadline - time.monotonic()
 
     def timed_out_result() -> AttackResult:
         return AttackResult(
@@ -143,41 +209,29 @@ def sat_attack(
         )
 
     while True:
-        remaining = budget()
+        remaining = deadline - time.monotonic()
         if remaining <= 0:
             return timed_out_result()
         if max_iterations is not None and len(dip_trace) >= max_iterations:
             return timed_out_result()
         try:
-            if not sat.solve([miter_lit], time_budget_s=remaining):
-                break
+            dip = miter.find_dip(remaining)
         except SolverBudgetExceeded:
             return timed_out_result()
-        model = sat.model
-        dip_bits = tuple(int(model[v]) for v in shared_var_list)
-        response = oracle.query(dict(zip(shared, dip_bits)))
-        out_bits = tuple(int(response[n]) for n in outputs)
-        dip_trace.append((dip_bits, out_bits))
+        if dip is None:
+            break
+        response = oracle.query(dict(zip(shared, dip)))
+        out_bits = tuple(int(response[n]) for n in miter.outputs)
+        dip_trace.append((dip, out_bits))
+        miter.add_io_constraint(dip, out_bits)
 
-        # pin each key copy to reproduce the oracle on this DIP
-        for key_vars in (key_vars_a, key_vars_b):
-            pinned = dict(zip(key_vars_a, key_vars))
-            block = remap_block(pinned)
-            add_copy(block)
-            for v, bit in zip(shared_var_list, dip_bits):
-                sat.add_clause([block[v] if bit else -block[v]])
-            for v, bit in zip(out_var_list, out_bits):
-                sat.add_clause([block[v] if bit else -block[v]])
-
-    remaining = budget()
+    remaining = deadline - time.monotonic()
     if remaining <= 0:
         return timed_out_result()
     try:
-        if not sat.solve([], time_budget_s=remaining):
-            raise RuntimeError("key extraction is unsatisfiable; attack bookkeeping is broken")
+        key = miter.extract_key(remaining)
     except SolverBudgetExceeded:
         return timed_out_result()
-    key = LockingKey(tuple(int(sat.model[v]) for v in key_vars_a))
     result = AttackResult(
         recovered_key=key,
         iterations=len(dip_trace),

@@ -3,17 +3,21 @@
 Variables are positive integers; literals follow the DIMACS sign
 convention. Encoding a circuit assigns one variable per net (primary
 inputs first, then gate outputs in gate order); gates with more than two
-XOR/XNOR inputs introduce auxiliary chain variables.
+XOR/XNOR inputs introduce auxiliary chain variables. :func:`encode_folded`
+encodes a single gate some of whose inputs are constants, and adds a
+variable only when the constants leave two or more inputs free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..netlist import Circuit, NetlistError
 
 Clause = Tuple[int, ...]
+# A net's value during folding: a literal, or a constant as a bool.
+Value = Union[int, bool]
 
 
 @dataclass
@@ -62,6 +66,46 @@ def _encode_gate(f: CnfFormula, kind: str, out: int, ins: Sequence[int]) -> None
         f.add(out, -ins[0])
     else:
         raise NetlistError(f"cannot encode gate kind {kind!r}")
+
+
+# kind -> (controlling input value, output value it forces)
+_CONTROLLING = {"AND": (False, False), "NAND": (False, True), "OR": (True, True), "NOR": (True, False)}
+
+
+def encode_folded(f: CnfFormula, kind: str, ins: Sequence[Value]) -> Value:
+    """Encode one gate over literal or constant inputs; returns its output.
+
+    Constants are folded away: a controlling constant or all-constant
+    inputs give a constant, and a single free input gives that literal or
+    its negation. Otherwise the output is a fresh variable of ``f``,
+    encoded over the free inputs alone.
+    """
+    lits = [x for x in ins if not isinstance(x, bool)]
+    consts = [x for x in ins if isinstance(x, bool)]
+    if kind in _CONTROLLING:
+        control, forced = _CONTROLLING[kind]
+        if control in consts:
+            return forced
+        invert = kind in ("NAND", "NOR")
+        if not lits:
+            return not forced
+    elif kind in ("XOR", "XNOR"):
+        invert = (sum(consts) + (kind == "XNOR")) % 2 == 1
+        if not lits:
+            return invert
+        kind = "XNOR" if invert else "XOR"
+    elif kind in ("NOT", "BUF"):
+        x = ins[0]
+        if kind == "BUF":
+            return x
+        return (not x) if isinstance(x, bool) else -x
+    else:
+        raise NetlistError(f"cannot encode gate kind {kind!r}")
+    if len(lits) == 1:
+        return -lits[0] if invert else lits[0]
+    out = f.new_var()
+    _encode_gate(f, kind, out, lits)
+    return out
 
 
 def _encode_xor2(f: CnfFormula, y: int, a: int, b: int, invert: bool) -> None:

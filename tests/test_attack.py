@@ -3,16 +3,23 @@ import os
 import stat
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hwassure.benchgen import synth_circuit
 from hwassure.bundled import load_bundled
 from hwassure.locking import LockedCircuit, LockingKey, evaluate_locked, insert_random_locking
-from hwassure.netlist import make_circuit
+from hwassure.netlist import batch_evaluate, fanout_cone, index_input_matrix, make_circuit
 from hwassure.satattack import (
+    CdclSolver,
     CircuitOracle,
+    Miter,
     attack_report,
     build_platform_instance,
     sat_attack,
+    tseitin_encode,
     verify_recovered_key,
 )
 
@@ -77,17 +84,94 @@ def test_attack_is_deterministic():
 
 @pytest.mark.parametrize(
     "key_length, cr, iterations, key",
-    [(6, 1, 2, "011000"), (10, 4, 3, "0010000000")],
+    [(6, 1, 2, "011000"), (10, 4, 3, "0010000000"), (10, 1, 3, "0010000000")],
 )
 def test_platform_attack_decisions_are_pinned(key_length, cr, iterations, key):
-    # recorded before the solver's decision heap became an indexed heap:
-    # any change to the decision order would show here as another DIP
-    # sequence, iteration count or recovered key
+    # k6 CR1 and k10 CR4 were recorded before the solver's decision heap
+    # became an indexed heap; k10 CR1 was recorded when the miter began to
+    # share every net outside the key cone between its copies. Any change to
+    # the decision order would show here as another DIP sequence, iteration
+    # count or recovered key
     circ = load_bundled("rs280")
     model, oracle, _ = build_platform_instance(circ, key_length=key_length, cr=cr, seed=0)
     res = sat_attack(model, oracle, verify=False)
     assert res.status == "success"
     assert (res.iterations, res.recovered_key.as_string()) == (iterations, key)
+
+
+class RecordingSolver(CdclSolver):
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add_clause(self, lits):
+        self.added.append(tuple(lits))
+        return super().add_clause(self.added[-1])
+
+
+def test_miter_encodes_only_the_key_cone_twice():
+    model, _, _ = build_platform_instance(load_bundled("rs400"), key_length=10, cr=4, seed=0)
+    core = model.core
+    cone = fanout_cone(core, model.key_inputs)
+    outputs = tuple(dict.fromkeys(core.primary_outputs))
+    base = tseitin_encode(core)
+    sat = RecordingSolver()
+    miter = Miter(model, sat)
+    # copy A is the whole core; every later clause names a variable of its
+    # own, so none repeats a clause of a gate outside the cone
+    assert sat.added[: len(base.clauses)] == base.clauses
+    assert all(max(abs(l) for l in c) > base.num_variables for c in sat.added[len(base.clauses):])
+    cone_gates = [(g.output, g.kind, g.inputs) for g in core.gates if g.output in cone]
+    cone_inputs = {n for _, _, ins in cone_gates for n in ins} - cone | set(model.key_inputs)
+    cone_clauses = len(tseitin_encode(make_circuit("cone", cone_gates, sorted(cone_inputs), [])).clauses)
+    # copy B, two clauses per difference literal and the miter's OR
+    assert len(sat.added) - len(base.clauses) <= cone_clauses + 2 * len(miter.diff_outputs) + 1
+    assert miter.diff_outputs == tuple(o for o in outputs if o in cone)
+    assert 0 < len(miter.diff_outputs) < len(outputs)
+
+
+@st.composite
+def locked_instances(draw):
+    """A small random design, locked and composed at a random CR, with at
+    most 16 functional inputs."""
+    kinds = draw(st.fixed_dictionaries({
+        "AND": st.integers(1, 4),
+        "NAND": st.integers(0, 2),
+        "OR": st.integers(0, 2),
+        "NOR": st.integers(0, 2),
+        "XOR": st.integers(0, 3),
+        "XNOR": st.integers(0, 2),
+        "NOT": st.integers(0, 2),
+        "BUF": st.integers(0, 1),
+    }))
+    gates = sum(kinds.values())
+    circuit = synth_circuit(
+        "prop", draw(st.integers(2, 8)), draw(st.integers(1, min(4, gates))),
+        draw(st.integers(0, 3)), kinds, seed=draw(st.integers(0, 2**16)), p_wide=0.3,
+    )
+    return build_platform_instance(
+        circuit, draw(st.integers(1, min(5, gates))), draw(st.sampled_from((1, 2, 4))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=locked_instances())
+def test_recovered_key_is_exhaustively_equivalent_to_the_oracle(instance):
+    model, oracle, _ = instance
+    shared = model.functional_inputs()
+    assert len(shared) <= 16
+    res = sat_attack(model, oracle, verify=False)
+    assert res.status == "success"
+    lanes = 1 << len(shared)
+    patterns = index_input_matrix(shared, lanes)
+    keyed = dict(patterns)
+    for name, bit in zip(model.key_inputs, res.recovered_key.bits):
+        keyed[name] = np.full(lanes, bit, dtype=np.uint8)
+    got, _ = batch_evaluate(model.core, keyed)
+    want, _ = batch_evaluate(oracle.circuit, patterns)
+    for po in oracle.output_names:
+        assert np.array_equal(got[po], want[po]), po
 
 
 def test_unlockable_site_yields_trivial_attack():
@@ -114,6 +198,27 @@ def test_unlockable_site_yields_trivial_attack():
     assert res.status == "success"
     assert res.iterations == 0
     assert res.verified is True
+
+
+def test_oracle_that_no_key_matches_is_reported():
+    # n1 lies outside the key cone: when the oracle disagrees there, no key
+    # can meet the DIP constraint and key extraction finds no key
+    locked_core = make_circuit(
+        "mismatch_enc1",
+        [
+            ("n0$raw0", "AND", ["a", "b"]),
+            ("n0", "XOR", ["n0$raw0", "keyinput0"]),
+            ("n1", "OR", ["a", "b"]),
+        ],
+        ["a", "b", "keyinput0"],
+        ["n0", "n1"],
+    )
+    locked = LockedCircuit(locked_core, ("keyinput0",), LockingKey((0,)))
+    oracle = make_circuit(
+        "mismatch", [("n0", "AND", ["a", "b"]), ("n1", "NOR", ["a", "b"])], ["a", "b"], ["n0", "n1"]
+    )
+    with pytest.raises(RuntimeError, match="unsatisfiable"):
+        sat_attack(locked, CircuitOracle(oracle))
 
 
 def test_platform_instances_attack_cleanly_across_cr():

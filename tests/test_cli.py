@@ -266,6 +266,36 @@ def test_metrics_missing_input_is_a_usage_error(argv, missing, capsys):
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, flag",
+    [
+        ("timeout_s", -1, "--timeout-s"),
+        ("timeout_s", 0, "--timeout-s"),
+        ("max_iterations", -1, "--max-iterations"),
+        ("max_iterations", 0, "--max-iterations"),
+        ("channels", 0, "--channels"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["grid", "single"])
+def test_out_of_range_attack_limit_exits_2_naming_the_field(
+    mode, field, value, flag, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    if mode == "grid":
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"benches": ["pkg:c17"], "key_lengths": [2],
+                                      "crs": [1], "seeds": [0], field: value}))
+        argv = ["attack", "--config", str(config), "--out", str(out)]
+    else:
+        argv = ["attack", "--bench", "pkg:c17", "--key-length", "2", flag, str(value),
+                "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(field) in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def malformed_inputs(tmp_path_factory):
     """Inputs of the wrong JSON shape, kept outside ``tmp_path`` so that a

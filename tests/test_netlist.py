@@ -11,6 +11,7 @@ from hwassure.netlist import (
     batch_evaluate,
     evaluate,
     extract_metadata,
+    fanout_cone,
     index_input_matrix,
     input_patterns,
     make_circuit,
@@ -216,3 +217,25 @@ def test_gate_ids_dense():
     assert [g.gid for g in c.gates] == list(range(len(c.gates)))
     with pytest.raises(NetlistError, match="dense"):
         Circuit("bad", [Gate(3, "NOT", ("a",), "y")], ["a"], ["y"])
+
+
+def test_fanout_cone_on_a_hand_built_circuit():
+    c = make_circuit(
+        "cone",
+        [
+            ("n1", "AND", ["a", "b"]),
+            ("n2", "OR", ["n1", "c"]),
+            ("n3", "NOT", ["c"]),
+            ("n4", "XOR", ["n2", "n3"]),
+            ("q", "DFF", ["n1"]),
+            ("n5", "AND", ["q", "b"]),
+        ],
+        ["a", "b", "c"],
+        ["n4", "n3", "n5"],
+    )
+    assert fanout_cone(c, ["a"]) == {"a", "n1", "n2", "n4", "q", "n5"}
+    assert fanout_cone(c, ["c"]) == {"c", "n2", "n3", "n4"}
+    assert fanout_cone(c, ["n3", "q"]) == {"n3", "n4", "q", "n5"}
+    assert fanout_cone(c, []) == frozenset()
+    with pytest.raises(NetlistError, match="unknown net"):
+        fanout_cone(c, ["zz"])

@@ -186,3 +186,8 @@ def test_config_loader_resolves_package_references(tmp_path):
     path.write_text(json.dumps(payload))
     cfg2 = load_subsystem_config_file(str(path))
     assert cfg2.noise_ips[0][0].name == "s298"
+
+
+def test_config_loader_names_a_missing_bench():
+    with pytest.raises(ValueError, match=r"config field 'noise_ips\[1\]\.bench' is required"):
+        load_subsystem_config({"noise_ips": [{"bench": "pkg:s298"}, {"seed": 1}]})

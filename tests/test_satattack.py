@@ -4,8 +4,9 @@ import random
 import pytest
 
 from hwassure.bundled import load_bundled
-from hwassure.netlist import batch_evaluate, evaluate, index_input_matrix, make_circuit
+from hwassure.netlist import _gate_value, batch_evaluate, evaluate, index_input_matrix, make_circuit
 from hwassure.satattack import CnfFormula, parse_dimacs, to_dimacs, tseitin_encode
+from hwassure.satattack.cnf import encode_folded
 from hwassure.satattack import solve as sat_solve
 
 
@@ -110,3 +111,31 @@ def test_dimacs_parse_handles_clauses_spanning_lines():
 def test_dimacs_parse_rejects_clause_count_mismatch():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 3\n1 0\n-2 0\n")
+
+
+@pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF"])
+def test_encode_folded_matches_the_gate_under_every_input(kind):
+    # each input is a constant or a free variable; for every assignment of
+    # the free ones, the clauses must force the gate's value on the output
+    for arity in (1,) if kind in ("NOT", "BUF") else (2, 3):
+        for pattern in itertools.product((False, True, None), repeat=arity):
+            free = [i for i, p in enumerate(pattern) if p is None]
+            f = CnfFormula(len(free))
+            ins = [p if p is not None else free.index(i) + 1 for i, p in enumerate(pattern)]
+            out = encode_folded(f, kind, ins)
+            if len(free) < 2:
+                assert f.clauses == [] and f.num_variables == len(free)
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                want = _gate_value(
+                    kind, [bits[free.index(i)] if p is None else int(p) for i, p in enumerate(pattern)]
+                )
+                seen = set()
+                extra = f.num_variables - len(free)
+                for rest in itertools.product((False, True), repeat=extra):
+                    val = dict(enumerate((bool(b) for b in bits + rest), start=1))
+                    if all(clause_satisfied(c, val) for c in f.clauses):
+                        if isinstance(out, bool):
+                            seen.add(int(out))
+                        else:
+                            seen.add(int(val[abs(out)] == (out > 0)))
+                assert seen == {want}, (kind, pattern, bits)
