@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -429,13 +430,13 @@ def cmd_psc_measure(args) -> Record:
     for label, sub, blocks in (("key1", sub1, blocks1), ("key2", sub2, blocks2)):
         profile_csv = profiles_to_csv(
             SwitchingProfile(
-                tuple(int(v) for v in _per_encryption_view(sub, cycles)),
+                tuple(_per_encryption_view(sub, cycles).tolist()),
                 sub.key_hex,
                 PER_ENCRYPTION,
             ),
             {
                 n: SwitchingProfile(
-                    tuple(int(v) for v in _per_encryption_view(p, cycles)),
+                    tuple(_per_encryption_view(p, cycles).tolist()),
                     p.key_hex,
                     PER_ENCRYPTION,
                 )
@@ -856,6 +857,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing does not
+    change it, so ``demo``'s steps share it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.
 
@@ -869,7 +877,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     missing file is an ``OSError`` and a config entry without a required
     field is a ``KeyError``.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.func(args)
         if isinstance(result, int):

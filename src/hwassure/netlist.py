@@ -59,6 +59,7 @@ class Circuit:
         self.primary_inputs = tuple(primary_inputs)
         self.primary_outputs = tuple(primary_outputs)
         self._validate()
+        self._lane_program: Optional["LaneProgram"] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -140,6 +141,12 @@ class Circuit:
     def topo_gates(self) -> Tuple[Gate, ...]:
         """Combinational gates in evaluation order (DFFs excluded)."""
         return self._topo_order
+
+    def lane_program(self) -> "LaneProgram":
+        """This circuit compiled for bit-parallel simulation, built on first use."""
+        if self._lane_program is None:
+            self._lane_program = LaneProgram(self)
+        return self._lane_program
 
     def __repr__(self) -> str:
         return (
@@ -335,6 +342,107 @@ def _evaluate_nets(
     return values
 
 
+# -- lane simulation ----------------------------------------------------------
+#
+# Parallel-pattern simulation: every net is one row of a (rows, words) uint64
+# matrix and lane l is bit l % 64 of word l // 64, so one bitwise operation
+# evaluates a gate on 64 patterns. Lanes above the caller's count (the padding
+# bits of the last word) carry garbage once an inverting gate has run; only
+# the caller's lanes are ever unpacked.
+
+# gate kind -> (reduction over its input rows, whether the result is inverted)
+_LANE_OPS = {
+    "AND": ("and", False), "NAND": ("and", True),
+    "OR": ("or", False), "NOR": ("or", True),
+    "XOR": ("xor", False), "XNOR": ("xor", True),
+    "BUF": ("xor", False), "NOT": ("xor", True),
+}
+_REDUCTIONS = {
+    "and": np.bitwise_and.reduce, "or": np.bitwise_or.reduce, "xor": np.bitwise_xor.reduce,
+}
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def lane_words(lanes: int) -> int:
+    """Words of 64 lanes needed to hold ``lanes`` lanes."""
+    return -(-lanes // 64)
+
+
+def pack_lanes(bits: np.ndarray, words: int) -> np.ndarray:
+    """Pack a (rows, lanes) array into (rows, words) uint64, reading each
+    entry as its bit 0; the padding lanes are zero."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8) & 1, axis=-1, bitorder="little")
+    out = np.zeros((packed.shape[0], words * 8), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_lanes(packed: np.ndarray, lanes: int) -> np.ndarray:
+    """The first ``lanes`` lanes of a (rows, words) packed matrix, as a
+    (rows, lanes) uint8 array of 0s and 1s."""
+    as_bytes = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=lanes, bitorder="little")
+
+
+class LaneProgram:
+    """A circuit compiled for bit-parallel simulation over packed lanes.
+
+    Row :attr:`row` ``[net]`` of a (:attr:`rows`, words) uint64 matrix holds
+    a net's lanes. The sources come first: the primary inputs, then the DFF
+    outputs in :attr:`Circuit.flip_flops` order. Combinational gates are
+    levelized and grouped by (level, operation, arity), and each group's
+    outputs take consecutive rows, so a group evaluates as one gather of
+    its input rows, one reduction into its rows and an optional inversion.
+    """
+
+    def __init__(self, circuit: Circuit):
+        ffs = circuit.flip_flops
+        sources = circuit.primary_inputs + tuple(ff.output for ff in ffs)
+        row = {net: i for i, net in enumerate(sources)}
+        self.sources = len(row)
+        level = dict.fromkeys(row, 0)
+        level_of = level.__getitem__
+        groups: Dict[Tuple[int, str, int], List[Gate]] = {}
+        for g in circuit.topo_gates():
+            level[g.output] = lv = 1 + max(map(level_of, g.inputs))
+            groups.setdefault((lv, _LANE_OPS[g.kind][0], len(g.inputs)), []).append(g)
+        keys = sorted(groups)
+        sizes = [len(groups[key]) for key in keys]
+        gates = [g for key in keys for g in groups[key]]
+        row.update(zip([g.output for g in gates], range(len(row), len(row) + len(gates))))
+        # One array each for all input rows and all inversion masks, built
+        # once: the steps hold views into them.
+        in_rows = np.array([row[n] for g in gates for n in g.inputs], dtype=np.intp)
+        inverted = np.array([_LANE_OPS[g.kind][1] for g in gates], dtype=bool)
+        masks = np.where(inverted, _ALL_ONES, np.uint64(0))[:, None]
+        self._steps = []
+        start = offset = 0
+        for (_, op, arity), size in zip(keys, sizes):
+            stop, end = start + size, offset + size * arity
+            self._steps.append((
+                _REDUCTIONS[op],
+                self.sources + start,
+                self.sources + stop,
+                in_rows[offset:end].reshape(size, arity),
+                masks[start:stop] if inverted[start:stop].any() else None,
+            ))
+            start, offset = stop, end
+        self.row: Dict[str, int] = row
+        self.rows = len(row)
+        self.output_rows = np.array([row[po] for po in circuit.primary_outputs], dtype=np.intp)
+        self.next_state_rows = np.array([row[ff.inputs[0]] for ff in ffs], dtype=np.intp)
+
+    def run(self, values: np.ndarray, sources: np.ndarray) -> None:
+        """Load ``sources`` (the packed primary inputs, then the packed DFF
+        state) into ``values`` and evaluate every combinational gate."""
+        values[: self.sources] = sources
+        for reduce, start, stop, in_rows, flip in self._steps:
+            out = values[start:stop]
+            reduce(values[in_rows], axis=1, out=out)
+            if flip is not None:
+                out ^= flip
+
+
 def batch_evaluate(
     circuit: Circuit,
     inputs: Mapping[str, np.ndarray],
@@ -344,28 +452,13 @@ def batch_evaluate(
     """Vectorized evaluation over parallel lanes.
 
     Every value is a uint8 ndarray of identical shape; one lane per
-    independent pattern. Returns the same pair as :func:`evaluate`; with
-    ``all_nets`` the first dict maps every net instead of just the POs.
+    independent pattern, read as its bit 0 like :func:`evaluate` does.
+    Returns the same pair as :func:`evaluate`; with ``all_nets`` the first
+    dict maps every net instead of just the POs.
     """
-    values = _batch_nets(circuit, inputs, state)
-    if all_nets:
-        out = values
-    else:
-        out = {po: values[po] for po in circuit.primary_outputs}
-    next_state = {ff.output: values[ff.inputs[0]] for ff in circuit.flip_flops}
-    return out, next_state
-
-
-def _batch_nets(
-    circuit: Circuit,
-    inputs: Mapping[str, np.ndarray],
-    state: Optional[Mapping[str, np.ndarray]],
-) -> Dict[str, np.ndarray]:
-    values: Dict[str, np.ndarray] = {}
     for pi in circuit.primary_inputs:
         if pi not in inputs:
             raise NetlistError(f"missing assignment for primary input {pi!r}")
-        values[pi] = np.asarray(inputs[pi], dtype=np.uint8)
     ffs = circuit.flip_flops
     if ffs:
         if state is None:
@@ -373,31 +466,29 @@ def _batch_nets(
         for ff in ffs:
             if ff.output not in state:
                 raise NetlistError(f"missing state for flip-flop output {ff.output!r}")
-            values[ff.output] = np.asarray(state[ff.output], dtype=np.uint8)
-    one = np.uint8(1)
-    for g in circuit.topo_gates():
-        ins = [values[n] for n in g.inputs]
-        kind = g.kind
-        if kind in ("AND", "NAND"):
-            acc = ins[0] & ins[1]
-            for extra in ins[2:]:
-                acc = acc & extra
-            values[g.output] = acc ^ one if kind == "NAND" else acc
-        elif kind in ("OR", "NOR"):
-            acc = ins[0] | ins[1]
-            for extra in ins[2:]:
-                acc = acc | extra
-            values[g.output] = acc ^ one if kind == "NOR" else acc
-        elif kind in ("XOR", "XNOR"):
-            acc = ins[0] ^ ins[1]
-            for extra in ins[2:]:
-                acc = acc ^ extra
-            values[g.output] = acc ^ one if kind == "XNOR" else acc
-        elif kind == "NOT":
-            values[g.output] = ins[0] ^ one
-        else:  # BUF
-            values[g.output] = ins[0].copy()
-    return values
+    sources = [np.asarray(inputs[pi], dtype=np.uint8) for pi in circuit.primary_inputs]
+    sources += [np.asarray(state[ff.output], dtype=np.uint8) for ff in ffs]
+    if not sources:
+        return {}, {}
+    shape = sources[0].shape
+    bits = np.stack(sources).reshape(len(sources), -1)
+    lanes = bits.shape[1]
+    words = lane_words(lanes)
+    program = circuit.lane_program()
+    values = np.empty((program.rows, words), dtype=np.uint64)
+    program.run(values, pack_lanes(bits, words))
+    if all_nets:
+        names: Sequence[str] = circuit.nets()
+        rows = np.array([program.row[net] for net in names], dtype=np.intp)
+    else:
+        names = circuit.primary_outputs
+        rows = program.output_rows
+    unpacked = unpack_lanes(values[np.concatenate((rows, program.next_state_rows))], lanes)
+    out = {net: unpacked[i].reshape(shape) for i, net in enumerate(names)}
+    next_state = {
+        ff.output: unpacked[len(names) + i].reshape(shape) for i, ff in enumerate(ffs)
+    }
+    return out, next_state
 
 
 def index_input_matrix(nets: Sequence[str], lanes: int, offset: int = 0) -> Dict[str, np.ndarray]:
@@ -412,7 +503,7 @@ def index_input_matrix(nets: Sequence[str], lanes: int, offset: int = 0) -> Dict
     }
 
 
-# Lanes per exhaustive chunk; batch_evaluate holds one array this long per net.
+# Lanes per exhaustive chunk; batch_evaluate holds one bit per lane and net.
 _PATTERN_CHUNK = 1 << 14
 
 

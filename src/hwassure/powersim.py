@@ -19,7 +19,7 @@ import numpy as np
 
 from .aes import CYCLES_PER_ENCRYPTION, aes128_encrypt_batch
 from .bundled import load_bench_ref
-from .netlist import Circuit, batch_evaluate
+from .netlist import Circuit, lane_words, pack_lanes, unpack_lanes
 
 PER_ENCRYPTION = "per-encryption"
 PER_CYCLE = "per-cycle"
@@ -37,7 +37,7 @@ class SwitchingProfile:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("a profile needs at least one sample")
-        if any(s < 0 for s in self.samples):
+        if min(self.samples) < 0:
             raise ValueError("toggle samples cannot be negative")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
@@ -92,22 +92,97 @@ def windowed_toggle_samples(
     if windows < 1 or cycles_per_window < 1:
         raise ValueError("need at least one window and one cycle")
     rng = np.random.default_rng(stimulus_seed)
-    nets = list(circuit.nets())
-    prev = {n: np.zeros(windows, dtype=np.uint8) for n in nets}
-    state = {ff.output: np.zeros(windows, dtype=np.uint8) for ff in circuit.flip_flops}
-    out = np.zeros((windows, cycles_per_window), dtype=np.int64)
+    program = circuit.lane_program()
+    if not program.rows:
+        return np.zeros((windows, cycles_per_window), dtype=np.int64)
+    words = lane_words(windows)
+    # Net values stay packed from cycle to cycle: the state is read back from
+    # the previous cycle's D-pin rows, and only the toggle counts get unpacked.
+    values = np.zeros((program.rows, words), dtype=np.uint64)
+    previous = np.zeros_like(values)
+    stimulus = np.empty((len(circuit.primary_inputs), windows), dtype=np.uint8)
+    # The reset state is all zeros, which no inverter computes, so the first
+    # cycle counts every net on its own.
+    every_net = [(1, np.arange(program.rows, dtype=np.intp))]
+    toggle_classes = _toggle_classes(circuit)
+    out = np.empty((windows, cycles_per_window), dtype=np.int64)
     for t in range(cycles_per_window):
-        pis = {
-            pi: rng.integers(0, 2, size=windows, dtype=np.uint8)
-            for pi in circuit.primary_inputs
-        }
-        vals, state = batch_evaluate(circuit, pis, state, all_nets=True)
-        acc = np.zeros(windows, dtype=np.int64)
-        for n in nets:
-            acc += vals[n] != prev[n]
-        out[:, t] = acc
-        prev = vals
+        for i in range(len(stimulus)):
+            stimulus[i] = rng.integers(0, 2, size=windows, dtype=np.uint8)
+        sources = np.concatenate(
+            (pack_lanes(stimulus, words), previous[program.next_state_rows])
+        )
+        program.run(values, sources)
+        classes = every_net if t == 0 else toggle_classes
+        out[:, t] = _count_toggles(values, previous, classes, windows)
+        values, previous = previous, values
     return out
+
+
+def _toggle_classes(circuit: Circuit) -> List[Tuple[int, np.ndarray]]:
+    """(weight, rows) pairs whose weighted toggles add up to every net's.
+
+    A NOT or BUF output toggles exactly when its input does, once every
+    net holds the value its driver computes, so a chain of them is counted
+    through the row that drives it: a row standing for w nets goes into
+    the class of weight 2**j for every bit j set in w.
+    """
+    row = circuit.lane_program().row
+    source = list(range(len(row)))
+    for g in circuit.topo_gates():
+        if g.kind in ("NOT", "BUF"):
+            source[row[g.output]] = source[row[g.inputs[0]]]
+    weight = np.bincount(source, minlength=len(row))
+    classes = [
+        (1 << j, np.flatnonzero((weight >> j) & 1)) for j in range(int(weight.max()).bit_length())
+    ]
+    return [(w, rows) for w, rows in classes if len(rows)]
+
+
+def _count_toggles(
+    values: np.ndarray,
+    previous: np.ndarray,
+    classes: Sequence[Tuple[int, np.ndarray]],
+    lanes: int,
+) -> np.ndarray:
+    """Per-lane count of nets whose value changed, each class's rows
+    counted with its weight."""
+    planes: List[np.ndarray] = []
+    weights: List[int] = []
+    for weight, rows in classes:
+        sums = _vertical_sum(values[rows] ^ previous[rows])
+        planes += sums
+        weights += [weight << i for i in range(len(sums))]
+    return np.asarray(weights, dtype=np.int64) @ unpack_lanes(np.stack(planes), lanes)
+
+
+def _vertical_sum(packed: np.ndarray) -> List[np.ndarray]:
+    """Bit planes, least significant first, of each lane's count of set
+    bits down the rows of a (rows, words) packed matrix.
+
+    A bit-sliced adder tree: each round adds the top half of the partial
+    sums to the bottom half, one plane at a time with ripple carry, so
+    the work is a few bitwise operations per packed word.
+    """
+    planes = [packed]
+    while len(planes[0]) > 1:
+        if len(planes[0]) % 2:
+            planes = [np.concatenate((p, np.zeros_like(p[:1]))) for p in planes]
+        half = len(planes[0]) // 2
+        carry = None
+        summed = []
+        for p in planes:
+            low, high = p[:half], p[half:]
+            bit = low ^ high
+            next_carry = low & high
+            if carry is not None:
+                next_carry |= bit & carry
+                bit ^= carry
+            summed.append(bit)
+            carry = next_carry
+        summed.append(carry)
+        planes = summed
+    return [p[0] for p in planes]
 
 
 def generate_plaintexts(seed: int, count: int) -> np.ndarray:
@@ -152,7 +227,7 @@ def simulate_subsystem(
 
     def samples_of(mat: np.ndarray) -> Tuple[int, ...]:
         samples = mat.sum(axis=1) if granularity == PER_ENCRYPTION else mat.reshape(-1)
-        return tuple(int(s) for s in samples)
+        return tuple(samples.tolist())
 
     mask = config.scheduler_mask()
     noise_total = np.zeros((n, cyc), dtype=np.int64)

@@ -154,7 +154,7 @@ def build_profile_db(
     for i, circuit in enumerate(circuits):
         stimulus_seed = seed + i
         matrix = windowed_toggle_samples(circuit, stimulus_seed, windows, cycles_per_window)
-        samples = tuple(int(s) for s in matrix.sum(axis=1))
+        samples = tuple(matrix.sum(axis=1).tolist())
         entries.append(
             BenchmarkProfile(
                 attributes=attributes_of(circuit),

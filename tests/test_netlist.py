@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwassure.benchgen import BUNDLED_RECIPES, build_recipe, synth_circuit
 from hwassure.bundled import bundled_bench_text, load_bundled
@@ -155,21 +157,78 @@ def test_evaluate_matches_reference_on_random_circuits():
             assert evaluate(c, ins, st) == naive_eval(c, ins, st)
 
 
-def test_batch_evaluate_matches_scalar():
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 130])
+def test_batch_evaluate_matches_scalar(lanes):
+    # lane counts on both sides of the 64-lane word boundary
     c = load_bundled("s344")
     rng = np.random.default_rng(7)
-    lanes = 40
     ins = next(input_patterns(c.primary_inputs, lanes, seed=6))
-    st = {ff.output: rng.integers(0, 2, lanes, dtype=np.uint8) for ff in c.flip_flops}
-    bout, bnxt = batch_evaluate(c, ins, st)
+    state = {ff.output: rng.integers(0, 2, lanes, dtype=np.uint8) for ff in c.flip_flops}
+    bout, bnxt = batch_evaluate(c, ins, state)
     for lane in range(lanes):
         sout, snxt = evaluate(
             c,
             {pi: int(ins[pi][lane]) for pi in c.primary_inputs},
-            {q: int(st[q][lane]) for q in st},
+            {q: int(state[q][lane]) for q in state},
         )
         assert all(int(bout[po][lane]) == sout[po] for po in c.primary_outputs)
         assert all(int(bnxt[q][lane]) == snxt[q] for q in snxt)
+
+
+def test_batch_evaluate_reads_each_lane_as_its_bit_0():
+    c = make_circuit("inv", [("y", "NOT", ["a"]), ("z", "AND", ["a", "b"])], ["a", "b"], ["y", "z"])
+    a = np.array([2, 255, 0, 1, 3], dtype=np.uint8)
+    b = np.array([1, 1, 1, 1, 254], dtype=np.uint8)
+    out, _ = batch_evaluate(c, {"a": a, "b": b})
+    for lane in range(len(a)):
+        want, _ = evaluate(c, {"a": int(a[lane]), "b": int(b[lane])})
+        assert (int(out["y"][lane]), int(out["z"][lane])) == (want["y"], want["z"])
+    assert out["y"].tolist() == [1, 0, 1, 0, 0]
+
+
+@st.composite
+def lane_cases(draw):
+    """A random circuit with every gate kind, arity 1 to 4, duplicate
+    inputs and DFF state, plus any number of lanes of arbitrary bytes."""
+    pis = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    qs = [f"q{k}" for k in range(draw(st.integers(0, 3)))]
+    nets = pis + qs
+    specs = []
+    for k in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")))
+        arity = 1 if kind in ("NOT", "BUF") else draw(st.integers(2, 4))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        specs.append((f"n{k}", kind, ins))
+        nets.append(f"n{k}")
+    specs += [(q, "DFF", [draw(st.sampled_from(nets))]) for q in qs]
+    outputs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4, unique=True))
+    circuit = make_circuit("lanes", specs, pis, outputs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lanes = draw(st.integers(1, 200))
+    ins = {pi: rng.integers(0, 256, lanes, dtype=np.uint8) for pi in pis}
+    state = {q: rng.integers(0, 256, lanes, dtype=np.uint8) for q in qs}
+    return circuit, ins, state, lanes
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lane_cases())
+def test_batch_evaluate_matches_evaluate_lane_by_lane(case):
+    circuit, ins, state, lanes = case
+    bvals, bnext = batch_evaluate(circuit, ins, state, all_nets=True)
+    bouts, _ = batch_evaluate(circuit, ins, state)
+    assert list(bouts) == list(circuit.primary_outputs)
+    for lane in range(lanes):
+        svals, snext = evaluate(
+            circuit,
+            {pi: int(v[lane]) for pi, v in ins.items()},
+            {q: int(v[lane]) for q, v in state.items()},
+            all_nets=True,
+        )
+        assert {n: int(v[lane]) for n, v in bvals.items()} == svals
+        assert {po: int(v[lane]) for po, v in bouts.items()} == {
+            po: svals[po] for po in circuit.primary_outputs
+        }
+        assert {q: int(v[lane]) for q, v in bnext.items()} == snext
 
 
 def test_index_input_matrix_enumerates_all_patterns():

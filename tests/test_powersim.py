@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwassure.bundled import load_bundled
 from hwassure.netlist import evaluate, make_circuit
@@ -21,35 +23,80 @@ from hwassure.powersim import (
 KEY = bytes(range(16))
 
 
-def all_nets_view(circuit):
-    """Same circuit with every net exposed, for scalar reference sims."""
-    return make_circuit(
-        circuit.name + "_all",
-        [(g.output, g.kind, list(g.inputs)) for g in circuit.gates],
-        list(circuit.primary_inputs),
-        list(circuit.nets()),
-    )
-
-
-def test_windowed_samples_match_per_window_replay():
-    s344 = load_bundled("s344")
-    windows, cycles = 7, 11
-    mat = windowed_toggle_samples(s344, 5, windows, cycles)
-    assert mat.shape == (windows, cycles)
-    rng = np.random.default_rng(5)
+def replayed_toggles(circuit, seed, windows, cycles):
+    """The toggle matrix windowed_toggle_samples should return, replayed
+    one window at a time through the scalar evaluate."""
+    rng = np.random.default_rng(seed)
     draws = [
-        {pi: rng.integers(0, 2, size=windows, dtype=np.uint8) for pi in s344.primary_inputs}
+        {pi: rng.integers(0, 2, size=windows, dtype=np.uint8) for pi in circuit.primary_inputs}
         for _ in range(cycles)
     ]
-    view = all_nets_view(s344)
+    mat = np.zeros((windows, cycles), dtype=np.int64)
     for w in range(windows):
-        prev = {n: 0 for n in s344.nets()}
-        state = {ff.output: 0 for ff in s344.flip_flops}
+        prev = {n: 0 for n in circuit.nets()}
+        state = {ff.output: 0 for ff in circuit.flip_flops}
         for t in range(cycles):
-            pis = {pi: int(draws[t][pi][w]) for pi in s344.primary_inputs}
-            vals, state = evaluate(view, pis, state)
-            assert mat[w, t] == sum(int(vals[n] != prev[n]) for n in s344.nets())
+            pis = {pi: int(draws[t][pi][w]) for pi in circuit.primary_inputs}
+            vals, state = evaluate(circuit, pis, state, all_nets=True)
+            mat[w, t] = sum(int(vals[n] != prev[n]) for n in circuit.nets())
             prev = vals
+    return mat
+
+
+@pytest.mark.parametrize("windows", [7, 64, 70])
+def test_windowed_samples_match_per_window_replay(windows):
+    # window counts on both sides of the 64-lane word boundary; the
+    # padding lanes of the last word must not leak into any count
+    s344 = load_bundled("s344")
+    mat = windowed_toggle_samples(s344, 5, windows, 11)
+    assert mat.shape == (windows, 11)
+    assert (mat == replayed_toggles(s344, 5, windows, 11)).all()
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [("n0", "BUF", ["i0"])],
+        [("n0", "NOT", ["i0"]), ("n1", "NOT", ["n0"]), ("n2", "BUF", ["n1"])],
+        [
+            ("n0", "NOT", ["i0"]), ("n1", "AND", ["n0", "i1"]),
+            ("n2", "NOT", ["n1"]), ("n3", "NOT", ["n0"]),
+        ],
+    ],
+)
+def test_windowed_samples_count_inverter_chains_through_their_driver(specs):
+    # a net standing for 2 or 3 others leaves some weight classes empty
+    pis = sorted({n for _, _, ins in specs for n in ins if n.startswith("i")})
+    circuit = make_circuit("chain", specs, pis, [specs[-1][0]])
+    mat = windowed_toggle_samples(circuit, 1, 70, 3)
+    assert (mat == replayed_toggles(circuit, 1, 70, 3)).all()
+
+
+@st.composite
+def toggle_cases(draw):
+    """A small sequential circuit rich in NOT and BUF chains, whose
+    outputs toggle with their inputs after the reset cycle."""
+    pis = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
+    qs = [f"q{k}" for k in range(draw(st.integers(0, 2)))]
+    nets = pis + qs
+    specs = []
+    for k in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("NOT", "BUF", "NOT", "BUF", "AND", "NOR", "XNOR")))
+        arity = 1 if kind in ("NOT", "BUF") else draw(st.integers(2, 3))
+        ins = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        specs.append((f"n{k}", kind, ins))
+        nets.append(f"n{k}")
+    specs += [(q, "DFF", [draw(st.sampled_from(nets))]) for q in qs]
+    circuit = make_circuit("toggles", specs, pis, [nets[-1]])
+    return circuit, draw(st.integers(0, 2**16)), draw(st.integers(1, 70)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=toggle_cases())
+def test_windowed_samples_match_replay_on_random_circuits(case):
+    circuit, seed, windows, cycles = case
+    mat = windowed_toggle_samples(circuit, seed, windows, cycles)
+    assert (mat == replayed_toggles(circuit, seed, windows, cycles)).all()
 
 
 def test_windowed_samples_are_seed_deterministic():

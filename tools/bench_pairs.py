@@ -1,0 +1,151 @@
+"""Compare the benchmark on a base commit and on the working tree, in pairs.
+
+For every workload and every seed, runs ``hwbench/run.py`` once on a clean
+export of the base commit and once on the working tree, alternating which
+side goes first (base first on even pair numbers). The end-to-end metric
+names and which direction is better come from ``BENCHMARK.json``.
+
+The summary, written as JSON, gives per workload and metric each side's
+median, quartiles and quartile distance, the pair win counts (ties count
+for neither side), each run's fingerprint status, whether the two runs of a
+pair gave the same output digest, and the ``machine:`` line.
+
+    python3 tools/bench_pairs.py --base HEAD --out pairs.json
+    python3 tools/bench_pairs.py --base HEAD~1 --workloads psc-subsystem --pairs 3 \\
+        --seconds 5 --out psc-pairs.json
+
+The base commit is exported with ``git archive`` into a temporary
+directory, so the repository's own git metadata is left as it was.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def export_commit(rev: str, dest: Path) -> str:
+    """Write the committed files of ``rev`` under ``dest``; return its full hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
+    """One untraced benchmark run; its metrics, fingerprint and machine line."""
+    done = subprocess.run(
+        [sys.executable, "hwbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    info = {line.split(":", 1)[0]: line.split(":", 1)[1].strip()
+            for line in lines[:-1] if ":" in line}
+    return {
+        "seed": seed,
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        # "<sha256> <match|changed|unrecorded>"; digests compare sides
+        # on seeds without a stored reference
+        "fingerprint": info.get("fingerprint", "missing missing").split(),
+        "machine": info.get("machine"),
+    }
+
+
+def quartiles(values: List[float]) -> Dict[str, float]:
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "quartile_distance": q3 - q1}
+
+
+def summarize(runs: Dict[str, List[Dict[str, object]]], metrics: List[dict]) -> Dict[str, object]:
+    """Medians, quartiles and pair wins per metric for one workload."""
+    summary: Dict[str, object] = {}
+    for spec in metrics:
+        name, lower_is_better = spec["name"], spec["better"] == "lower"
+        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
+        wins = losses = 0
+        for base, change in zip(values["base"], values["change"]):
+            if change != base:
+                better = change < base if lower_is_better else change > base
+                wins, losses = wins + better, losses + (not better)
+        summary[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            **{side: {**quartiles(values[side]), "runs": values[side]} for side in SIDES},
+            "change_wins": wins,
+            "change_losses": losses,
+            "pairs": len(values["base"]),
+        }
+    return summary
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="commit to compare against")
+    parser.add_argument("--out", required=True, help="JSON summary to write")
+    parser.add_argument("--workloads", nargs="+", help="default: every workload")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="default: run_seconds from BENCHMARK.json")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    report: Dict[str, object] = {
+        "settings": {"pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds,
+                     "order": "base first on even pair numbers"},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_dir = Path(tmp)
+        report["base"] = export_commit(args.base, base_dir)
+        report["change"] = "working tree"
+        checkouts = {"base": base_dir, "change": ROOT}
+        for workload in workloads:
+            runs: Dict[str, List[Dict[str, object]]] = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                seed = args.first_seed + pair
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(checkouts[side], workload, seed, seconds)
+                    runs[side].append(run)
+                    report.setdefault("machine", run["machine"])
+                    print(f"{workload} seed {seed} {side}: "
+                          + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
+                          + " fingerprint={} {}".format(*run["fingerprint"]), flush=True)
+            report["workloads"][workload] = {
+                "metrics": summarize(runs, spec["end_to_end"]),
+                "fingerprints": {side: [r["fingerprint"][1] for r in runs[side]] for side in SIDES},
+                "same_outputs": [b["fingerprint"][0] == c["fingerprint"][0]
+                                 for b, c in zip(runs["base"], runs["change"])],
+                "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+                "seeds": [r["seed"] for r in runs["base"]],
+            }
+            Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
