@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netlist import Circuit, _gate_value, batch_evaluate, input_patterns
+from .netlist import _ALL_ONES, Circuit, _gate_value, input_patterns, lane_words, pack_lanes
 
 MAX_TRUTH_TABLE_FANIN = 16
 
@@ -128,17 +128,27 @@ def observation_hardness(
         raise ValueError("circuit has no primary inputs")
     if n_patterns is None and len(pis) > MAX_TRUTH_TABLE_FANIN:
         raise ValueError("too many inputs for exhaustive patterns")
-    undetected = [(pi, stuck) for pi in pis for stuck in (0, 1)]
+    program = circuit.lane_program()
+    node_row = program.row[node]
+    # (source row, stuck value); the primary inputs are the first rows
+    undetected = [(row, stuck) for row in range(len(pis)) for stuck in (0, 1)]
     for inputs in input_patterns(pis, n_patterns, seed):
-        good_node = batch_evaluate(circuit, inputs, all_nets=True)[0][node]
-        lanes = good_node.shape[0]
+        bits = np.stack([inputs[pi] for pi in pis])
+        words = lane_words(bits.shape[1])
+        sources = pack_lanes(bits, words)
+        # the caller's lanes: padding lanes carry garbage after an inversion
+        live = pack_lanes(np.ones((1, bits.shape[1]), dtype=np.uint8), words)[0]
+        values = np.empty((program.rows, words), dtype=np.uint64)
+        program.run(values, sources)
+        good = values[node_row].copy()
         missed = []
-        for pi, stuck in undetected:
-            forced = dict(inputs)
-            forced[pi] = np.full(lanes, stuck, dtype=np.uint8)
-            faulty, _ = batch_evaluate(circuit, forced, all_nets=True)
-            if not np.any(faulty[node] != good_node):
-                missed.append((pi, stuck))
+        for row, stuck in undetected:
+            kept = sources[row].copy()
+            sources[row] = _ALL_ONES if stuck else 0
+            program.run(values, sources)
+            sources[row] = kept
+            if not ((values[node_row] ^ good) & live).any():
+                missed.append((row, stuck))
         undetected = missed
     return (2 * len(pis) - len(undetected)) / (2 * len(pis))
 

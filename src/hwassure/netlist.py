@@ -190,6 +190,25 @@ def fanout_cone(circuit: Circuit, nets: Iterable[str]) -> FrozenSet[str]:
     return frozenset(cone)
 
 
+def fanin_cone(circuit: Circuit, nets: Iterable[str]) -> FrozenSet[str]:
+    """``nets`` and every net one of them reads, directly or through other
+    gates (DFFs included)."""
+    inputs = set(circuit.primary_inputs)
+    cone = set()
+    stack = list(nets)
+    while stack:
+        net = stack.pop()
+        if net in cone:
+            continue
+        driver = circuit.driver_of(net)
+        if driver is None and net not in inputs:
+            raise NetlistError(f"unknown net {net!r}")
+        cone.add(net)
+        if driver is not None:
+            stack.extend(driver.inputs)
+    return frozenset(cone)
+
+
 # -- bench format ------------------------------------------------------------
 
 _GATE_RE = re.compile(r"^([^\s=]+)\s*=\s*([A-Za-z]+)\s*\((.*)\)$")

@@ -10,15 +10,19 @@ satisfying the accumulated constraints is I/O-equivalent to the oracle,
 and one is extracted with a final solver call (Subramanyan, Ray and Malik,
 HOST 2015).
 
-Only the key's fanout cone can differ between the copies, so the miter
-encodes only that cone twice. Copy A is the whole core. Copy B reads copy
-A's variable for every net outside the cone, which is the structural
-sharing step of equivalence checking (Kuehlmann and Krohm, DAC 1997):
-its clauses cover the cone's gates alone, and only outputs inside the
-cone get a difference literal. Each DIP constraint likewise encodes the
-cone alone, once per key copy. The DIP fixes every net outside the cone,
-so one evaluation of the core gives those nets as constants, and they
-are folded into the cone's gates as it is encoded.
+Only the key's fanout cone can differ between the copies, and only its
+outputs can show a difference, so the miter encodes only what those
+outputs read. Copy A is their support (:func:`fanin_cone`), a cone-of-
+influence reduction with buffers and inverters folded into literals by
+:func:`tseitin_encode` (Kuehlmann, Paruthi, Krohm and Ganai, TCAD 2002);
+every functional input and key bit still gets a variable. Copy B reads
+copy A's literal for every net outside the cone, which is the structural
+sharing step of equivalence checking (Kuehlmann and Krohm, DAC 1997): its
+clauses cover the cone gates inside the support alone, and only outputs
+inside the cone get a difference literal. Each DIP constraint likewise
+encodes those cone gates alone, once per key copy. The DIP fixes every
+net outside the cone, so one evaluation of the core gives those nets as
+constants, and they are folded into the cone's gates as it is encoded.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from ..netlist import (
     NetlistError,
     batch_evaluate,
     evaluate,
+    fanin_cone,
     fanout_cone,
     input_patterns,
+    make_circuit,
 )
 from ..platform_model import ScanTopology, compose_platform_frame, frame
 from .cnf import CnfFormula, Value, encode_folded, tseitin_encode
@@ -98,25 +104,34 @@ class Miter:
         self.inputs = locked.functional_inputs()
         self.outputs = tuple(dict.fromkeys(core.primary_outputs))
         self._cone = cone = fanout_cone(core, locked.key_inputs)
-        self._cone_gates = [g for g in core.topo_gates() if g.output in cone]
+        self.diff_outputs = tuple(n for n in self.outputs if n in cone)
+        # only what the cone's outputs read can tell two keys apart
+        support = fanin_cone(core, self.diff_outputs)
+        support_gates = [g for g in core.topo_gates() if g.output in support]
+        self._cone_gates = [g for g in support_gates if g.output in cone]
         # nets outside the cone that cone gates read
         self._boundary = tuple(
             dict.fromkeys(n for g in self._cone_gates for n in g.inputs if n not in cone)
         )
         self._key_zero = dict.fromkeys(locked.key_inputs, 0)
-        self.diff_outputs = tuple(n for n in self.outputs if n in cone)
 
-        base = tseitin_encode(core)
+        # every input and key bit keeps a variable, read or not
+        base = tseitin_encode(make_circuit(
+            core.name,
+            [(g.output, g.kind, g.inputs) for g in support_gates],
+            (*self.inputs, *locked.key_inputs),
+            self.diff_outputs,
+        ))
         self._add(base)
-        var = base.net_to_var
-        self._input_vars = [var[n] for n in self.inputs]
+        lit = base.net_to_var
+        self._input_vars = [lit[n] for n in self.inputs]
         key_b = [sat.new_var() for _ in locked.key_inputs]
-        self.key_vars = ([var[k] for k in locked.key_inputs], key_b)
-        copy_b = self._encode_cone({n: var[n] for n in self._boundary}, key_b)
+        self.key_vars = ([lit[k] for k in locked.key_inputs], key_b)
+        copy_b = self._encode_cone({n: lit[n] for n in self._boundary}, key_b)
 
         diff_lits = []
         for net in self.diff_outputs:
-            a, b = var[net], copy_b[net]
+            a, b = lit[net], copy_b[net]
             d = sat.new_var()
             sat.add_clause([-d, a, b])
             sat.add_clause([-d, -a, -b])

@@ -1,11 +1,12 @@
 """Tseitin CNF encoding of combinational circuits and DIMACS I/O.
 
 Variables are positive integers; literals follow the DIMACS sign
-convention. Encoding a circuit assigns one variable per net (primary
-inputs first, then gate outputs in gate order); gates with more than two
-XOR/XNOR inputs introduce auxiliary chain variables. :func:`encode_folded`
-encodes a single gate some of whose inputs are constants, and adds a
-variable only when the constants leave two or more inputs free.
+convention. :func:`encode_folded` encodes a single gate over literal or
+constant inputs, and adds a variable only when the constants leave two or
+more inputs free; BUF and NOT gates never get one. :func:`tseitin_encode`
+encodes a whole circuit with it, so every net maps to a literal (primary
+inputs first, then gate outputs in evaluation order); gates with more than
+two XOR/XNOR inputs introduce auxiliary chain variables.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class CnfFormula:
 
 
 def _encode_gate(f: CnfFormula, kind: str, out: int, ins: Sequence[int]) -> None:
+    """Clauses for ``out`` = ``kind`` over two or more literals."""
     if kind == "AND":
         for x in ins:
             f.add(-out, x)
@@ -51,21 +53,13 @@ def _encode_gate(f: CnfFormula, kind: str, out: int, ins: Sequence[int]) -> None
         for x in ins:
             f.add(-out, -x)
         f.add(out, *ins)
-    elif kind in ("XOR", "XNOR"):
+    else:  # XOR, XNOR; encode_folded folds every other kind
         acc = ins[0]
         for x in ins[1:-1]:
             t = f.new_var()
             _encode_xor2(f, t, acc, x, invert=False)
             acc = t
         _encode_xor2(f, out, acc, ins[-1], invert=(kind == "XNOR"))
-    elif kind == "NOT":
-        f.add(-out, -ins[0])
-        f.add(out, ins[0])
-    elif kind == "BUF":
-        f.add(-out, ins[0])
-        f.add(out, -ins[0])
-    else:
-        raise NetlistError(f"cannot encode gate kind {kind!r}")
 
 
 # kind -> (controlling input value, output value it forces)
@@ -118,15 +112,21 @@ def _encode_xor2(f: CnfFormula, y: int, a: int, b: int, invert: bool) -> None:
 
 
 def tseitin_encode(circuit: Circuit) -> CnfFormula:
-    """Encode a combinational circuit; net_to_var covers every net."""
+    """Encode a combinational circuit; net_to_var maps every net to a literal.
+
+    Primary inputs get variables first, then gate outputs in
+    :meth:`Circuit.topo_gates` order, through :func:`encode_folded`: a BUF
+    output takes its input's literal and a NOT output the negated literal,
+    so neither gets a variable of its own.
+    """
     if not circuit.is_combinational:
         raise NetlistError("cannot encode sequential circuits; frame first")
     f = CnfFormula(num_variables=0)
-    for net in circuit.nets():
-        f.num_variables += 1
-        f.net_to_var[net] = f.num_variables
-    for g in circuit.gates:
-        _encode_gate(f, g.kind, f.net_to_var[g.output], [f.net_to_var[n] for n in g.inputs])
+    lits = f.net_to_var
+    for net in circuit.primary_inputs:
+        lits[net] = f.new_var()
+    for g in circuit.topo_gates():
+        lits[g.output] = encode_folded(f, g.kind, [lits[n] for n in g.inputs])
     return f
 
 

@@ -388,6 +388,12 @@ class CdclSolver:
                 return v
         return None
 
+    def _stop_past(self, deadline: float) -> None:
+        """Back to level 0 and raise once the clock has passed ``deadline``."""
+        if time.monotonic() > deadline:
+            self._cancel_until(0)
+            raise SolverBudgetExceeded("time budget exhausted")
+
     def solve(
         self,
         assumptions: Sequence[int] = (),
@@ -409,7 +415,7 @@ class CdclSolver:
         assumps = [(abs(l) << 1) | (l < 0) for l in assumptions]
         for l in assumptions:
             self.ensure_vars(abs(l))
-        conflicts_here = 0
+        conflicts_here = decisions_here = 0
         restart_num = 1
         restart_limit = 100 * _luby(restart_num)
         since_restart = 0
@@ -437,9 +443,7 @@ class CdclSolver:
                     self._cancel_until(0)
                     raise SolverBudgetExceeded(f"conflict budget {max_conflicts} exhausted")
                 if deadline is not None and conflicts_here % 256 == 0:
-                    if time.monotonic() > deadline:
-                        self._cancel_until(0)
-                        raise SolverBudgetExceeded("time budget exhausted")
+                    self._stop_past(deadline)
                 if since_restart >= restart_limit:
                     restart_num += 1
                     restart_limit = 100 * _luby(restart_num)
@@ -466,6 +470,11 @@ class CdclSolver:
                 self._enqueue(a, None)
                 continue
 
+            # a search with few conflicts meets the clock here; before the
+            # pick, which takes its variable off the heap
+            decisions_here += 1
+            if deadline is not None and decisions_here % 256 == 0:
+                self._stop_past(deadline)
             v = self._pick_branch()
             if v is None:
                 self.model = [None] + [self.value[i << 1] == 1 for i in range(1, self.nvars + 1)]

@@ -17,8 +17,9 @@ from hwassure.assurance_metrics import (
     puf_inter_hd,
     puf_intra_hd,
 )
+from hwassure.benchgen import synth_circuit
 from hwassure.bundled import load_bundled
-from hwassure.netlist import evaluate, make_circuit
+from hwassure.netlist import evaluate, input_patterns, make_circuit
 
 
 def test_gate_transfer_hand_values():
@@ -153,6 +154,49 @@ def test_observation_hardness_random_patterns_and_validation():
         observation_hardness(c, "nope")
     with pytest.raises(ValueError):
         observation_hardness(c, "22", n_patterns=0)
+
+
+def sampled_fault_oracle(circuit, n_patterns, seed):
+    """Scalar :func:`evaluate` over the patterns ``observation_hardness``
+    draws: per net, the share of PI stuck-at faults that change it on one."""
+    pis = circuit.primary_inputs
+    (lanes,) = input_patterns(pis, n_patterns, seed)
+    vectors = [{pi: int(lanes[pi][i]) for pi in pis} for i in range(n_patterns)]
+    good = [evaluate(circuit, vec, all_nets=True)[0] for vec in vectors]
+    detected = dict.fromkeys(circuit.nets(), 0)
+    for pi in pis:
+        for stuck in (0, 1):
+            changed = set()
+            for vec, want in zip(vectors, good):
+                got, _ = evaluate(circuit, {**vec, pi: stuck}, all_nets=True)
+                changed.update(n for n in detected if got[n] != want[n])
+            for net in changed:
+                detected[net] += 1
+    return {net: hits / (2 * len(pis)) for net, hits in detected.items()}
+
+
+def test_observation_hardness_matches_scalar_evaluation_on_sampled_patterns():
+    # 100 patterns fill one word and part of a second; its padding lanes
+    # must not count. "y" is 1 only when all 12 inputs are 0, which none of
+    # the sampled patterns is, so no fault reaches it there; the all-zero
+    # padding lanes would show every stuck-at-1 fault
+    pis = [f"i{k}" for k in range(12)]
+    wide = make_circuit(
+        "wide",
+        [("o1", "OR", pis[:6]), ("o2", "OR", pis[6:]), ("y", "NOR", ["o1", "o2"]),
+         ("m", "NAND", ["o1", "i0"]), ("x", "XNOR", ["m", "i11", "i5"])],
+        pis,
+        ["y", "x"],
+    )
+    kinds = {"AND": 8, "NAND": 8, "OR": 6, "NOR": 6, "XOR": 5, "XNOR": 4, "NOT": 8, "BUF": 3}
+    rand = synth_circuit("rand", 9, 4, 0, kinds, seed=7, p_wide=0.3)
+    for circuit in (wide, rand):
+        want = sampled_fault_oracle(circuit, 100, 3)
+        got = {net: observation_hardness(circuit, net, n_patterns=100, seed=3) for net in want}
+        assert got == want
+        assert len(set(got.values())) > 2
+        if circuit is wide:
+            assert got["y"] == 0.0
 
 
 def test_fsm_hand_example():

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from hwassure.benchgen import synth_circuit
 from hwassure.bundled import load_bundled
 from hwassure.locking import LockedCircuit, LockingKey, evaluate_locked, insert_random_locking
-from hwassure.netlist import batch_evaluate, fanout_cone, index_input_matrix, make_circuit
+from hwassure.netlist import (
+    batch_evaluate,
+    fanin_cone,
+    fanout_cone,
+    index_input_matrix,
+    make_circuit,
+)
 from hwassure.satattack import (
     CdclSolver,
     CircuitOracle,
@@ -114,20 +120,53 @@ def test_miter_encodes_only_the_key_cone_twice():
     core = model.core
     cone = fanout_cone(core, model.key_inputs)
     outputs = tuple(dict.fromkeys(core.primary_outputs))
-    base = tseitin_encode(core)
+    sources = model.functional_inputs() + model.key_inputs
     sat = RecordingSolver()
     miter = Miter(model, sat)
-    # copy A is the whole core; every later clause names a variable of its
-    # own, so none repeats a clause of a gate outside the cone
-    assert sat.added[: len(base.clauses)] == base.clauses
-    assert all(max(abs(l) for l in c) > base.num_variables for c in sat.added[len(base.clauses):])
-    cone_gates = [(g.output, g.kind, g.inputs) for g in core.gates if g.output in cone]
-    cone_inputs = {n for _, _, ins in cone_gates for n in ins} - cone | set(model.key_inputs)
-    cone_clauses = len(tseitin_encode(make_circuit("cone", cone_gates, sorted(cone_inputs), [])).clauses)
-    # copy B, two clauses per difference literal and the miter's OR
-    assert len(sat.added) - len(base.clauses) <= cone_clauses + 2 * len(miter.diff_outputs) + 1
+    # the difference literals cover exactly the outputs inside the cone
     assert miter.diff_outputs == tuple(o for o in outputs if o in cone)
     assert 0 < len(miter.diff_outputs) < len(outputs)
+    support = fanin_cone(core, miter.diff_outputs)
+    support_gates = [g for g in core.topo_gates() if g.output in support]
+    assert all(n in support for g in support_gates for n in g.inputs)
+    assert len(support_gates) < len(core.gates)
+
+    # copy A is the support alone, with every input and key bit a variable;
+    # every later clause names a variable of its own
+    base = tseitin_encode(make_circuit(
+        "support", [(g.output, g.kind, g.inputs) for g in support_gates], sources, miter.diff_outputs
+    ))
+    n_a = base.num_variables
+    assert sat.added[: len(base.clauses)] == base.clauses
+    later = sat.added[len(base.clauses):]
+    assert all(max(abs(l) for l in c) > n_a for c in later)
+    lit = base.net_to_var
+    assert set(lit) == support | set(sources)
+    key_b = list(range(n_a + 1, n_a + 1 + len(model.key_inputs)))
+    assert miter.key_vars == ([lit[k] for k in model.key_inputs], key_b)
+
+    # BUF and NOT outputs reuse their input's variable; every other gate
+    # output has one of its own, and the only other variables are XOR chains
+    folded = [g for g in support_gates if g.kind in ("BUF", "NOT")]
+    assert folded
+    for g in folded:
+        assert lit[g.output] == (-1 if g.kind == "NOT" else 1) * lit[g.inputs[0]]
+    net_vars = {abs(l) for l in lit.values()}
+    assert len(net_vars) == len(sources) + len(support_gates) - len(folded)
+    chain = sum(len(g.inputs) - 2 for g in support_gates if g.kind in ("XOR", "XNOR"))
+    assert n_a == len(net_vars) + chain
+    assert len({abs(l) for c in base.clauses for l in c} - net_vars) == chain
+
+    # copy B adds exactly the clauses copy A spends on the cone gates inside
+    # the support, then two clauses per difference literal and the miter's OR
+    cone_gates = [(g.output, g.kind, g.inputs) for g in support_gates if g.output in cone]
+    cone_inputs = {n for _, _, ins in cone_gates for n in ins} - cone | set(model.key_inputs)
+    cone_clauses = len(tseitin_encode(make_circuit("cone", cone_gates, sorted(cone_inputs), [])).clauses)
+    assert len(later) == cone_clauses + 2 * len(miter.diff_outputs) + 1
+    diff_clauses = later[cone_clauses:-1]
+    for net, (up, down) in zip(miter.diff_outputs, zip(diff_clauses[::2], diff_clauses[1::2])):
+        assert up[:2] == (down[0], lit[net]) and down[1] == -lit[net]
+    assert set(later[-1][1:]) == {-c[0] for c in diff_clauses}
 
 
 @st.composite

@@ -13,6 +13,7 @@ from hwassure.netlist import (
     batch_evaluate,
     evaluate,
     extract_metadata,
+    fanin_cone,
     fanout_cone,
     index_input_matrix,
     input_patterns,
@@ -298,3 +299,26 @@ def test_fanout_cone_on_a_hand_built_circuit():
     assert fanout_cone(c, []) == frozenset()
     with pytest.raises(NetlistError, match="unknown net"):
         fanout_cone(c, ["zz"])
+
+
+def test_fanin_cone_on_a_hand_built_circuit():
+    c = make_circuit(
+        "cone",
+        [
+            ("n1", "AND", ["a", "b"]),
+            ("n2", "OR", ["n1", "c"]),
+            ("n3", "NOT", ["c"]),
+            ("n4", "XOR", ["n2", "n3"]),
+            ("q", "DFF", ["n1"]),
+            ("n5", "AND", ["q", "b"]),
+        ],
+        ["a", "b", "c"],
+        ["n4", "n3", "n5"],
+    )
+    assert fanin_cone(c, ["n4"]) == {"n4", "n2", "n3", "n1", "a", "b", "c"}
+    assert fanin_cone(c, ["n5"]) == {"n5", "q", "n1", "a", "b"}
+    assert fanin_cone(c, ["n3", "a"]) == {"n3", "c", "a"}
+    assert fanin_cone(c, ["b"]) == {"b"}
+    assert fanin_cone(c, []) == frozenset()
+    with pytest.raises(NetlistError, match="unknown net"):
+        fanin_cone(c, ["zz"])

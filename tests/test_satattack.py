@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwassure.bundled import load_bundled
 from hwassure.netlist import _gate_value, batch_evaluate, evaluate, index_input_matrix, make_circuit
@@ -10,9 +12,17 @@ from hwassure.satattack.cnf import encode_folded
 from hwassure.satattack import solve as sat_solve
 
 
+KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
+
+
 def single_gate(kind, n_inputs=2):
     ins = [f"a{i}" for i in range(n_inputs)]
     return make_circuit("g", [("y", kind, ins)], ins, ["y"])
+
+
+def literal_value(model, lit):
+    """The value a solver model gives a DIMACS literal."""
+    return model[abs(lit)] == (lit > 0)
 
 
 def clause_satisfied(clause, valuation):
@@ -58,7 +68,7 @@ def test_c17_cnf_agrees_with_exhaustive_evaluation():
         assert model is not None
         ref, _ = evaluate(c17, pattern)
         for net, want in ref.items():
-            assert model[f.net_to_var[net]] == bool(want)
+            assert literal_value(model, f.net_to_var[net]) == bool(want)
 
 
 def test_circuit_valuations_satisfy_the_encoding():
@@ -81,11 +91,61 @@ def test_circuit_valuations_satisfy_the_encoding():
             circ, index_input_matrix(circ.primary_inputs, lanes), all_nets=True
         )
         for lane in range(lanes):
-            valuation = {f.net_to_var[n]: bool(v[lane]) for n, v in values.items()}
+            # a net's literal may be negative: a NOT output reuses its
+            # input's variable
+            valuation = {
+                abs(lit): bool(values[n][lane]) == (lit > 0) for n, lit in f.net_to_var.items()
+            }
             for clause in f.clauses:
                 if any(abs(l) not in valuation for l in clause):
                     continue  # auxiliary chain variable, unconstrained here
                 assert clause_satisfied(clause, valuation)
+
+
+@st.composite
+def combinational_circuits(draw):
+    """A random combinational circuit with every gate kind, arity 1 to 4
+    and duplicate inputs, plus one assignment of its primary inputs."""
+    pis = [f"i{k}" for k in range(draw(st.integers(1, 5)))]
+    nets = list(pis)
+    specs = []
+    for k in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(KINDS))
+        arity = 1 if kind in ("NOT", "BUF") else draw(st.integers(2, 4))
+        specs.append((f"n{k}", kind, draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))))
+        nets.append(f"n{k}")
+    outputs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=3, unique=True))
+    pattern = {pi: draw(st.integers(0, 1)) for pi in pis}
+    return make_circuit("prop", specs, pis, outputs), pattern
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=combinational_circuits())
+def test_tseitin_encode_agrees_with_evaluate(case):
+    # under unit assumptions on the primary inputs, the model must give
+    # every net's literal the value the circuit computes
+    circuit, pattern = case
+    f = tseitin_encode(circuit)
+    assert set(f.net_to_var) == set(circuit.nets())
+    assumptions = [f.net_to_var[pi] if bit else -f.net_to_var[pi] for pi, bit in pattern.items()]
+    model = sat_solve(f, assumptions)
+    assert model is not None
+    want, _ = evaluate(circuit, pattern, all_nets=True)
+    assert {n: literal_value(model, lit) for n, lit in f.net_to_var.items()} == {
+        n: bool(v) for n, v in want.items()
+    }
+
+
+def test_tseitin_encode_folds_buffers_and_inverters():
+    circ = make_circuit(
+        "fold",
+        [("b", "BUF", ["a"]), ("n", "NOT", ["b"]), ("nn", "NOT", ["n"]), ("y", "AND", ["nn", "c"])],
+        ["a", "c"],
+        ["y"],
+    )
+    f = tseitin_encode(circ)
+    assert f.net_to_var == {"a": 1, "c": 2, "b": 1, "n": -1, "nn": 1, "y": 3}
+    assert f.num_variables == 3 and len(f.clauses) == 3
 
 
 def test_dimacs_round_trip_preserves_formula():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hwassure.satattack import CdclSolver, CnfFormula, SolverBudgetExceeded
+from hwassure.satattack import solver as solver_module
 from hwassure.satattack import solve as sat_solve
 
 
@@ -152,6 +153,40 @@ def test_non_positive_conflict_budget_raises_before_search(budget):
     assert s.solve() is True
     with pytest.raises(SolverBudgetExceeded):
         sat_solve(CnfFormula(2, [(1, 2)]), max_conflicts=budget)
+
+
+class SteppedClock:
+    """Stands in for the solver module's ``time``: the first reading is 0,
+    every later one is ``later``."""
+
+    def __init__(self, later):
+        self.readings = 0
+        self.later = later
+
+    def monotonic(self):
+        self.readings += 1
+        return 0.0 if self.readings == 1 else self.later
+
+
+def test_time_budget_holds_on_a_search_without_conflicts(monkeypatch):
+    # every decision takes the negative phase and satisfies every clause,
+    # so the search makes one decision per variable and no conflict
+    n = 1000
+    clauses = [(-v, -(v + 1)) for v in range(1, n)]
+    s = CdclSolver()
+    for c in clauses:
+        s.add_clause(c)
+    clock = SteppedClock(later=5.0)
+    monkeypatch.setattr(solver_module, "time", clock)
+    with pytest.raises(SolverBudgetExceeded):
+        s.solve(time_budget_s=1.0)
+    assert s.conflicts_total == 0 and s.trail == [] and s.model is None
+    assert clock.readings >= 2
+    assert_heap_invariant(s)
+    # within the budget the same search finds a model
+    monkeypatch.setattr(solver_module, "time", SteppedClock(later=0.5))
+    assert s.solve(time_budget_s=1.0) is True and model_satisfies(s.model, clauses)
+    assert s.conflicts_total == 0
 
 
 # Recorded with the lazy heapq decision order that the indexed heap
