@@ -9,8 +9,6 @@ All calculators are pure functions over explicit inputs.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .netlist import _ALL_ONES, Circuit, _gate_value, input_patterns, lane_words, pack_lanes
+from .tables import csv_rows
 
 MAX_TRUTH_TABLE_FANIN = 16
 
@@ -230,13 +229,9 @@ def fsm_from_csv(text: str) -> FsmSpec:
 
     The design delay set may sit on any row; non-empty cells must agree.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    expected = ["from", "to", "vulnerable", "pv", "po", "p_fs"]
-    if reader.fieldnames != expected:
-        raise ValueError(f"bad FSM header: {reader.fieldnames}")
     transitions = []
     design: Optional[Tuple[float, ...]] = None
-    for row in reader:
+    for row in csv_rows(text, ["from", "to", "vulnerable", "pv", "po", "p_fs"], "FSM"):
         delays = _delay_cell(row["p_fs"])
         if delays:
             if design is not None and delays != design:
@@ -326,7 +321,5 @@ def cdc(defects: Sequence[Tuple[float, float]]) -> float:
 
 def defects_from_csv(text: str) -> List[Tuple[float, float]]:
     """Columns: confidence,frequency."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != ["confidence", "frequency"]:
-        raise ValueError(f"bad defect header: {reader.fieldnames}")
-    return [(float(r["confidence"]), float(r["frequency"])) for r in reader]
+    rows = csv_rows(text, ["confidence", "frequency"], "defect")
+    return [(float(r["confidence"]), float(r["frequency"])) for r in rows]

@@ -21,8 +21,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .assurance_metrics import (
     cdc,
     controllability,
@@ -43,7 +41,6 @@ from .powersim import (
     PER_CYCLE,
     PER_ENCRYPTION,
     SubsystemConfig,
-    SwitchingProfile,
     load_subsystem_config_file,
     profiles_to_csv,
 )
@@ -402,10 +399,6 @@ def cmd_sat_estimate(args) -> Record:
     }
 
 
-def _per_encryption_view(profile: SwitchingProfile, cycles: int) -> np.ndarray:
-    return profile.as_array().reshape(-1, cycles).sum(axis=1)
-
-
 def cmd_psc_measure(args) -> Record:
     config = load_subsystem_config_file(args.config)
     # psc-measure always writes into a directory, its record included
@@ -415,9 +408,13 @@ def cmd_psc_measure(args) -> Record:
     (sub1, blocks1), (sub2, blocks2) = simulate_key_pair(
         config, args.seed, args.plaintexts, granularity=PER_CYCLE
     )
-    enc1 = _per_encryption_view(sub1, cycles)
-    enc2 = _per_encryption_view(sub2, cycles)
-    js = compare_profiles(enc1, enc2)
+    # the key-pair divergence and the profile CSVs use per-encryption sums
+    per_encryption = [
+        (sub.per_encryption(cycles), {n: p.per_encryption(cycles) for n, p in blocks.items()})
+        for sub, blocks in ((sub1, blocks1), (sub2, blocks2))
+    ]
+    (enc1, _), (enc2, _) = per_encryption
+    js = compare_profiles(enc1.samples, enc2.samples)
     score = security_score(js)
     matrix = per_cycle_js_matrix(
         {"subsystem": sub1.samples, **{n: p.samples for n, p in blocks1.items()}},
@@ -427,26 +424,11 @@ def cmd_psc_measure(args) -> Record:
     order = ["subsystem"] + list(blocks1)
     with open(os.path.join(out_dir, "js_matrix.csv"), "w", encoding="utf-8") as fh:
         fh.write(js_matrix_csv(matrix, order))
-    for label, sub, blocks in (("key1", sub1, blocks1), ("key2", sub2, blocks2)):
-        profile_csv = profiles_to_csv(
-            SwitchingProfile(
-                tuple(_per_encryption_view(sub, cycles).tolist()),
-                sub.key_hex,
-                PER_ENCRYPTION,
-            ),
-            {
-                n: SwitchingProfile(
-                    tuple(_per_encryption_view(p, cycles).tolist()),
-                    p.key_hex,
-                    PER_ENCRYPTION,
-                )
-                for n, p in blocks.items()
-            },
-        )
+    for label, (sub, blocks) in zip(("key1", "key2"), per_encryption):
         with open(
             os.path.join(out_dir, f"profiles_{label}.csv"), "w", encoding="utf-8"
         ) as fh:
-            fh.write(profile_csv)
+            fh.write(profiles_to_csv(sub, blocks))
     return {
         "kind": "psc-measure",
         "js": js,

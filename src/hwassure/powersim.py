@@ -28,22 +28,46 @@ GRANULARITIES = (PER_ENCRYPTION, PER_CYCLE)
 AES_BLOCK_NAME = "aes"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingProfile:
-    samples: Tuple[int, ...]
+    """One run's toggle samples under one key.
+
+    ``samples`` is a read-only 1-D ``int64`` copy of whatever sequence or
+    array the constructor gets, so a profile never changes after it is
+    built and never shares memory with its source.
+    """
+
+    samples: np.ndarray
     key_hex: str
     granularity: str
 
     def __post_init__(self):
-        if not self.samples:
+        samples = np.array(self.samples)
+        if samples.size == 0:
             raise ValueError("a profile needs at least one sample")
-        if min(self.samples) < 0:
+        if samples.ndim != 1:
+            raise ValueError("toggle samples form one flat sequence")
+        if not np.issubdtype(samples.dtype, np.integer):
+            raise ValueError("toggle samples are integers")
+        if samples.min() < 0:
             raise ValueError("toggle samples cannot be negative")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
+        samples = samples.astype(np.int64, copy=False)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=np.int64)
+        return self.samples
+
+    def per_encryption(self, cycles: int) -> "SwitchingProfile":
+        """A per-cycle profile summed over each encryption of ``cycles``
+        cycles; a count that does not divide the samples raises ValueError."""
+        if self.granularity != PER_CYCLE:
+            raise ValueError("only a per-cycle profile sums per encryption")
+        return SwitchingProfile(
+            self.samples.reshape(-1, cycles).sum(axis=1), self.key_hex, PER_ENCRYPTION
+        )
 
 
 @dataclass(frozen=True)
@@ -225,13 +249,12 @@ def simulate_subsystem(
         raise ValueError("need at least one plaintext")
     cyc = config.cycles_per_encryption
 
-    def samples_of(mat: np.ndarray) -> Tuple[int, ...]:
-        samples = mat.sum(axis=1) if granularity == PER_ENCRYPTION else mat.reshape(-1)
-        return tuple(samples.tolist())
+    def samples_of(mat: np.ndarray) -> np.ndarray:
+        return mat.sum(axis=1) if granularity == PER_ENCRYPTION else mat.reshape(-1)
 
     mask = config.scheduler_mask()
     noise_total = np.zeros((n, cyc), dtype=np.int64)
-    noise_samples: Dict[str, Tuple[int, ...]] = {}
+    noise_samples: Dict[str, np.ndarray] = {}
     for i, ((circ, seed), name) in enumerate(zip(config.noise_ips, _unique_block_names(config))):
         mat = windowed_toggle_samples(circ, seed, n, cyc) * mask[i]
         noise_total += mat
@@ -239,7 +262,7 @@ def simulate_subsystem(
 
     runs = []
     for key in keys:
-        block_samples: Dict[str, Tuple[int, ...]] = {}
+        block_samples: Dict[str, np.ndarray] = {}
         total = noise_total
         if config.aes_core:
             _, aes_toggles = aes128_encrypt_batch(key, plaintexts)
@@ -263,15 +286,13 @@ def profiles_to_csv(
 ) -> str:
     """One row per sample: the subsystem count then each block's share."""
     names = list(blocks)
-    header = ",".join(["subsystem"] + names)
     n = len(subsystem.samples)
     for name in names:
         if len(blocks[name].samples) != n:
             raise ValueError("block profiles must align with the subsystem profile")
-    lines = [header]
-    for i in range(n):
-        row = [str(subsystem.samples[i])] + [str(blocks[m].samples[i]) for m in names]
-        lines.append(",".join(row))
+    table = np.column_stack([subsystem.samples] + [blocks[m].samples for m in names])
+    lines = [",".join(["subsystem"] + names)]
+    lines += [",".join(map(str, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -12,8 +12,6 @@ samples, and the same divergence scoring is applied.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,6 +34,7 @@ from .pscmetrics import (
     security_score,
 )
 from .sat_estimation import nearest_neighbour
+from .tables import csv_rows
 
 KEY_ZEROS = bytes(16)
 KEY_ONES = bytes([0xFF]) * 16
@@ -53,6 +52,7 @@ ATTRIBUTE_FIELDS = (
     "num_nor",
 )
 
+# The attribute columns follow ATTRIBUTE_FIELDS' order; save and load rely on it.
 DB_INDEX_HEADER = (
     "name,numInputs,numOutputs,numDFF,numInverters,numGates,numAND,numNAND,"
     "numOR,numNOR,stimulusSeed"
@@ -112,10 +112,6 @@ class BenchmarkProfile:
     source_name: str
     stimulus_seed: int
 
-    def __post_init__(self):
-        if not self.profile.samples:
-            raise ValueError("benchmark profile has no samples")
-
 
 @dataclass(frozen=True)
 class ProfileDatabase:
@@ -127,12 +123,6 @@ class ProfileDatabase:
         names = [e.source_name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate profile names in database")
-
-    def find(self, name: str) -> BenchmarkProfile:
-        for entry in self.entries:
-            if entry.source_name == name:
-                return entry
-        raise KeyError(name)
 
 
 def build_profile_db(
@@ -154,11 +144,10 @@ def build_profile_db(
     for i, circuit in enumerate(circuits):
         stimulus_seed = seed + i
         matrix = windowed_toggle_samples(circuit, stimulus_seed, windows, cycles_per_window)
-        samples = tuple(matrix.sum(axis=1).tolist())
         entries.append(
             BenchmarkProfile(
                 attributes=attributes_of(circuit),
-                profile=SwitchingProfile(samples, "", PER_ENCRYPTION),
+                profile=SwitchingProfile(matrix.sum(axis=1), "", PER_ENCRYPTION),
                 source_name=circuit.name,
                 stimulus_seed=stimulus_seed,
             )
@@ -256,82 +245,36 @@ def simulate_key_pair(
     return run1, run2
 
 
-def measure_subsystem_js(
-    config: SubsystemConfig,
-    plaintext_seed: int,
-    count: int,
-    key_pair: Tuple[bytes, bytes] = DEFAULT_KEY_PAIR,
-    bin_width: Optional[int] = None,
-    thresholds: ScoreThresholds = DEFAULT_THRESHOLDS,
-) -> Tuple[float, int]:
-    """Measured key-pair divergence of the full subsystem, scored."""
-    (sub1, _), (sub2, _) = simulate_key_pair(config, plaintext_seed, count, key_pair)
-    js = compare_profiles(sub1.as_array(), sub2.as_array(), bin_width=bin_width)
-    return js, security_score(js, thresholds)
-
-
 def save_profile_db(db: ProfileDatabase, directory: str) -> None:
     """Directory layout: attribute index CSV plus one sample CSV per entry."""
     os.makedirs(directory, exist_ok=True)
     lines = [DB_INDEX_HEADER]
     for entry in db.entries:
-        a = entry.attributes
-        lines.append(
-            ",".join(
-                str(v)
-                for v in (
-                    entry.source_name,
-                    a.num_inputs,
-                    a.num_outputs,
-                    a.num_dff,
-                    a.num_inverters,
-                    a.num_gates,
-                    a.num_and,
-                    a.num_nand,
-                    a.num_or,
-                    a.num_nor,
-                    entry.stimulus_seed,
-                )
-            )
-        )
+        counts = [getattr(entry.attributes, name) for name in ATTRIBUTE_FIELDS]
+        lines.append(",".join(map(str, [entry.source_name, *counts, entry.stimulus_seed])))
         with open(os.path.join(directory, f"{entry.source_name}.csv"), "w") as fh:
             fh.write("toggles\n")
-            fh.write("\n".join(str(s) for s in entry.profile.samples) + "\n")
+            fh.write("\n".join(map(str, entry.profile.samples.tolist())) + "\n")
     with open(os.path.join(directory, "index.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_profile_db(directory: str) -> ProfileDatabase:
     with open(os.path.join(directory, "index.csv")) as fh:
-        text = fh.read()
-    reader = csv.DictReader(io.StringIO(text))
-    expected = DB_INDEX_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise ValueError(f"bad index header: {reader.fieldnames}")
+        rows = csv_rows(fh.read(), DB_INDEX_HEADER.split(","), "profile index")
     entries = []
-    for row in reader:
-        attrs = IpAttributes(
-            num_inputs=int(row["numInputs"]),
-            num_outputs=int(row["numOutputs"]),
-            num_dff=int(row["numDFF"]),
-            num_inverters=int(row["numInverters"]),
-            num_gates=int(row["numGates"]),
-            num_and=int(row["numAND"]),
-            num_nand=int(row["numNAND"]),
-            num_or=int(row["numOR"]),
-            num_nor=int(row["numNOR"]),
-        )
-        with open(os.path.join(directory, f"{row['name']}.csv")) as fh:
+    for row in rows:
+        name, *counts, stimulus_seed = row.values()
+        with open(os.path.join(directory, f"{name}.csv")) as fh:
             lines = fh.read().strip().split("\n")
         if lines[0] != "toggles":
-            raise ValueError(f"bad profile header for {row['name']}")
-        samples = tuple(int(v) for v in lines[1:])
+            raise ValueError(f"bad profile header for {name}")
         entries.append(
             BenchmarkProfile(
-                attributes=attrs,
-                profile=SwitchingProfile(samples, "", PER_ENCRYPTION),
-                source_name=row["name"],
-                stimulus_seed=int(row["stimulusSeed"]),
+                attributes=IpAttributes(**dict(zip(ATTRIBUTE_FIELDS, map(int, counts)))),
+                profile=SwitchingProfile([int(v) for v in lines[1:]], "", PER_ENCRYPTION),
+                source_name=name,
+                stimulus_seed=int(stimulus_seed),
             )
         )
     return ProfileDatabase(tuple(entries))

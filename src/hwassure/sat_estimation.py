@@ -10,8 +10,6 @@ CR, and scale the known IP-level attack time by the result.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .netlist import CircuitMetadata
+from .tables import csv_rows
 
 DATASET_CSV_HEADER = "name,key_length,num_gates,num_pi,num_po,num_ffio,cr,elapsed_s,iterations"
 
@@ -262,12 +261,8 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
 
 
 def records_from_csv(text: str) -> List[ExperimentRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    expected = DATASET_CSV_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise ValueError(f"dataset header must be {DATASET_CSV_HEADER!r}")
     out = []
-    for row in reader:
+    for row in csv_rows(text, DATASET_CSV_HEADER.split(","), "dataset"):
         out.append(
             ExperimentRecord(
                 metadata_from_dict(row),
@@ -290,13 +285,34 @@ def model_to_json(model: EstimationModel) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _numbers(value: object, field: str, count: int) -> Tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != count or not all(
+        type(v) in (int, float) for v in value
+    ):
+        raise ValueError(f"model field '{field}' must be a list of {count} numbers")
+    return tuple(float(v) for v in value)
+
+
 def model_from_json(text: str) -> EstimationModel:
+    """Inverse of ``model_to_json``. A field of the wrong shape raises
+    ``ValueError`` naming the field."""
     payload = json.loads(text)
-    subs = tuple(
-        SubModel(metadata_from_dict(s["metadata"]), tuple(float(c) for c in s["coefficients"]))
-        for s in payload["sub_models"]
-    )
-    return EstimationModel(subs, tuple(float(s) for s in payload["feature_scales"]))
+    if not isinstance(payload, dict):
+        raise ValueError("model must be a JSON object")
+    entries = payload.get("sub_models")
+    if not isinstance(entries, list) or not all(isinstance(s, dict) for s in entries):
+        raise ValueError("model field 'sub_models' must be a list of objects")
+    subs = []
+    for i, s in enumerate(entries):
+        field = f"sub_models[{i}]"
+        try:
+            metadata = metadata_from_dict(s["metadata"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"model field '{field}.metadata' is malformed") from None
+        coefficients = _numbers(s.get("coefficients"), f"{field}.coefficients", 3)
+        subs.append(SubModel(metadata, coefficients))
+    scales = _numbers(payload.get("feature_scales"), "feature_scales", 5)
+    return EstimationModel(tuple(subs), scales)
 
 
 def save_model(model: EstimationModel, path: str) -> None:

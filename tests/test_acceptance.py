@@ -32,10 +32,16 @@ from hwassure.psc_estimation import (
     build_profile_db,
     estimate_subsystem_score,
     map_config_blocks,
-    measure_subsystem_js,
     simulate_key_pair,
 )
-from hwassure.pscmetrics import build_distribution, js_divergence, kl_divergence, tvla
+from hwassure.pscmetrics import (
+    build_distribution,
+    compare_profiles,
+    js_divergence,
+    kl_divergence,
+    security_score,
+    tvla,
+)
 from hwassure.sat_estimation import fit_quadratic
 from hwassure.satattack import build_platform_instance, sat_attack
 
@@ -202,8 +208,8 @@ def test_criterion_07_noise_trend():
         for seed in range(5):
             noise = tuple((circuits[i], seed * 100 + i) for i in range(k))
             config = SubsystemConfig(noise_ips=noise)
-            js, _ = measure_subsystem_js(config, plaintext_seed=seed, count=1000)
-            values.append(js)
+            (sub1, _), (sub2, _) = simulate_key_pair(config, plaintext_seed=seed, count=1000)
+            values.append(compare_profiles(sub1.samples, sub2.samples))
         means[k] = float(np.mean(values))
     elapsed = time.monotonic() - started
     series = [means[k] for k in (0, 2, 4, 6)]
@@ -224,14 +230,15 @@ def test_criterion_08_estimation_consistency():
     config = SubsystemConfig(
         noise_ips=tuple((circuits[i], 40 + i) for i in range(len(circuits)))
     )
-    measured_js, measured_score = measure_subsystem_js(config, plaintext_seed=7, count=1000)
+    (sub1, _), (sub2, _) = simulate_key_pair(config, plaintext_seed=7, count=1000)
+    measured_js = compare_profiles(sub1.samples, sub2.samples)
     (aes1, _), (aes2, _) = simulate_key_pair(SubsystemConfig(), plaintext_seed=7, count=1000)
     mapped = map_config_blocks(config, db)
     assert [m.source_name for m in mapped] == list(roster)
     estimated_js, estimated_score = estimate_subsystem_score((aes1, aes2), mapped)
     delta = abs(estimated_js - measured_js)
     assert delta <= 0.02
-    assert estimated_score == measured_score
+    assert estimated_score == security_score(measured_js)
     print(
         f"\nCRITERION 8 PASS: |estimated - measured| = {delta:.6f} <= 0.02 "
         f"(measured {measured_js:.4f}, estimated {estimated_js:.4f}, n=1000)"

@@ -6,6 +6,8 @@ import pytest
 from hwassure.cli import main, stable_digest
 from hwassure.locking import load_locked
 from hwassure.netlist import load_bench
+from hwassure.psc_estimation import DB_INDEX_HEADER
+from hwassure.sat_estimation import DATASET_CSV_HEADER
 
 
 def read_json(path):
@@ -314,10 +316,23 @@ def malformed_inputs(tmp_path_factory):
         ("grid_iterations.json", dict(grid, max_iterations="x")),
         ("grid_solver.json", dict(grid, solver="nope")),
         ("records/list.json", [1]),
+        ("psc.json", {}),
+        ("model_sub_models.json", {"sub_models": 5, "feature_scales": [1, 1, 1, 1, 1]}),
+        ("model_list.json", [1]),
     ):
         (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(json.dumps(payload))
-    (root / "empty.txt").write_text("")
+    # tables with a row that is one or more cells short, or one too long
+    for name, text in (
+        ("empty.txt", ""),
+        ("cdc_short.csv", "confidence,frequency\n0.5\n"),
+        ("cdc_long.csv", "confidence,frequency\n0.5,1,9\n"),
+        ("fsm_short.csv", "from,to,vulnerable,pv,po,p_fs\ns0,s1,1\n"),
+        ("records_short.csv", DATASET_CSV_HEADER + "\nc17,4,6\n"),
+        ("db/index.csv", DB_INDEX_HEADER + "\nc17,5,2,0\n"),
+    ):
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
     return root
 
 
@@ -341,12 +356,23 @@ def malformed_inputs(tmp_path_factory):
         ["attack", "--config", "{bad}/grid_solver.json", "--out", "{tmp}/runs"],
         ["report", "--kind", "sat", "--records", "{bad}/records", "--out", "{tmp}/r.csv"],
         ["metrics", "puf", "--responses", "{bad}/empty.txt", "--intra"],
+        ["metrics", "cdc", "--csv", "{bad}/cdc_short.csv"],
+        ["metrics", "cdc", "--csv", "{bad}/cdc_long.csv"],
+        ["metrics", "fsm-fi", "--csv", "{bad}/fsm_short.csv"],
+        ["sat-fit", "--csv", "{bad}/records_short.csv", "--out", "{tmp}/model.json"],
+        ["psc-estimate", "--config", "{bad}/psc.json", "--db", "{bad}/db"],
+        ["sat-estimate", "--model", "{bad}/model_sub_models.json", "--bench", "pkg:c17",
+         "--key-length", "2", "--cr", "1", "--ip-seconds", "1"],
+        ["sat-estimate", "--model", "{bad}/model_list.json", "--bench", "pkg:c17",
+         "--key-length", "2", "--cr", "1", "--ip-seconds", "1"],
     ],
     ids=["unknown-node", "unknown-pkg", "oversized-key", "missing-bench", "missing-csv",
          "noise-ip-not-object", "aes-not-object", "scheduler-not-rows", "null-noise-seed",
          "aes-enabled-not-bool", "null-key-length", "null-timeout", "null-channels",
          "string-max-iterations", "unknown-solver", "record-not-object",
-         "empty-puf-responses"],
+         "empty-puf-responses", "short-defect-row", "long-defect-row", "short-fsm-row",
+         "short-dataset-row", "short-profile-index-row", "model-sub-models-not-list",
+         "model-not-object"],
 )
 def test_library_input_error_exits_2_with_one_error_line(
     argv, tmp_path, capsys, malformed_inputs

@@ -188,9 +188,9 @@ def test_batch_evaluate_reads_each_lane_as_its_bit_0():
 
 
 @st.composite
-def lane_cases(draw):
+def random_circuits(draw):
     """A random circuit with every gate kind, arity 1 to 4, duplicate
-    inputs and DFF state, plus any number of lanes of arbitrary bytes."""
+    inputs and DFF state."""
     pis = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
     qs = [f"q{k}" for k in range(draw(st.integers(0, 3)))]
     nets = pis + qs
@@ -203,11 +203,17 @@ def lane_cases(draw):
         nets.append(f"n{k}")
     specs += [(q, "DFF", [draw(st.sampled_from(nets))]) for q in qs]
     outputs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4, unique=True))
-    circuit = make_circuit("lanes", specs, pis, outputs)
+    return make_circuit("lanes", specs, pis, outputs)
+
+
+@st.composite
+def lane_cases(draw):
+    """A random circuit plus any number of lanes of arbitrary bytes."""
+    circuit = draw(random_circuits())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lanes = draw(st.integers(1, 200))
-    ins = {pi: rng.integers(0, 256, lanes, dtype=np.uint8) for pi in pis}
-    state = {q: rng.integers(0, 256, lanes, dtype=np.uint8) for q in qs}
+    ins = {pi: rng.integers(0, 256, lanes, dtype=np.uint8) for pi in circuit.primary_inputs}
+    state = {ff.output: rng.integers(0, 256, lanes, dtype=np.uint8) for ff in circuit.flip_flops}
     return circuit, ins, state, lanes
 
 
@@ -230,6 +236,19 @@ def test_batch_evaluate_matches_evaluate_lane_by_lane(case):
             po: svals[po] for po in circuit.primary_outputs
         }
         assert {q: int(v[lane]) for q, v in bnext.items()} == snext
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=random_circuits())
+def test_roundtrip_on_random_circuits(circuit):
+    text = write_bench(circuit)
+    back = parse_bench(text, name=circuit.name)
+    assert back.primary_inputs == circuit.primary_inputs
+    assert back.primary_outputs == circuit.primary_outputs
+    assert [(g.kind, g.inputs, g.output) for g in back.gates] == [
+        (g.kind, g.inputs, g.output) for g in circuit.gates
+    ]
+    assert write_bench(back) == text
 
 
 def test_index_input_matrix_enumerates_all_patterns():

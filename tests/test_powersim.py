@@ -112,7 +112,7 @@ def test_subsystem_without_noise_is_exactly_the_aes_profile():
     pts = generate_plaintexts(1, 30)
     [(sub, blocks)] = simulate_subsystem(SubsystemConfig(), [KEY], pts)
     assert list(blocks) == ["aes"]
-    assert sub.samples == blocks["aes"].samples
+    assert np.array_equal(sub.samples, blocks["aes"].samples)
     assert sub.key_hex == KEY.hex()
     assert sub.granularity == PER_ENCRYPTION
 
@@ -147,7 +147,7 @@ def test_scheduler_mask_silences_inactive_cycles():
     pts = generate_plaintexts(3, 25)
     [(sub_on, blocks_on)] = simulate_subsystem(cfg_on, [KEY], pts)
     [(sub_off, blocks_off)] = simulate_subsystem(cfg_off, [KEY], pts)
-    assert sub_off.samples == blocks_off["aes"].samples
+    assert np.array_equal(sub_off.samples, blocks_off["aes"].samples)
     assert all(s == 0 for s in blocks_off["s298"].samples)
     assert sum(blocks_on["s298"].samples) > 0
     # half-open mask only counts the active cycles
@@ -186,12 +186,38 @@ def test_config_validation():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        SwitchingProfile((), "00", PER_CYCLE)
-    with pytest.raises(ValueError):
-        SwitchingProfile((1, -2), "00", PER_CYCLE)
+    source = np.array([3, 1, 4], dtype=np.int64)
+    for given in ((3, 1, 4), [3, 1, 4], source):
+        profile = SwitchingProfile(given, "00", PER_CYCLE)
+        assert profile.samples.dtype == np.int64 and profile.samples.ndim == 1
+        assert profile.samples.tolist() == [3, 1, 4]
+        assert profile.as_array() is profile.samples
+        with pytest.raises(ValueError):
+            profile.samples[0] = 9
+    copied = SwitchingProfile(source, "00", PER_CYCLE)
+    source[0] = 9
+    assert copied.samples.tolist() == [3, 1, 4]
+    for bad in ((), (1, -2), [[1, 2], [3, 4]], (1, 1.5), [2.0], np.array([1.5, 2.5]), ("1",)):
+        with pytest.raises(ValueError):
+            SwitchingProfile(bad, "00", PER_CYCLE)
     with pytest.raises(ValueError):
         SwitchingProfile((1, 2), "00", "per-week")
+
+
+def test_per_encryption_sums_each_encryptions_cycles():
+    cfg = SubsystemConfig(noise_ips=((load_bundled("s298"), 2),))
+    pts = generate_plaintexts(5, 12)
+    [(sub_cycle, blocks_cycle)] = simulate_subsystem(cfg, [KEY], pts, PER_CYCLE)
+    [(sub_enc, blocks_enc)] = simulate_subsystem(cfg, [KEY], pts, PER_ENCRYPTION)
+    pairs = [(sub_cycle, sub_enc)] + [(blocks_cycle[n], blocks_enc[n]) for n in blocks_enc]
+    for cycle, enc in pairs:
+        summed = cycle.per_encryption(cfg.cycles_per_encryption)
+        assert (summed.key_hex, summed.granularity) == (enc.key_hex, PER_ENCRYPTION)
+        assert np.array_equal(summed.samples, enc.samples)
+    with pytest.raises(ValueError):
+        sub_enc.per_encryption(11)
+    with pytest.raises(ValueError):
+        sub_cycle.per_encryption(5)
 
 
 def test_plaintext_generation_is_deterministic():

@@ -6,9 +6,12 @@ side goes first (base first on even pair numbers). The end-to-end metric
 names and which direction is better come from ``BENCHMARK.json``.
 
 The summary, written as JSON, gives per workload and metric each side's
-median, quartiles and quartile distance, the pair win counts (ties count
-for neither side), each run's fingerprint status, whether the two runs of a
-pair gave the same output digest, and the ``machine:`` line.
+median, quartiles and quartile distance over the finished pairs, the pair
+win counts (ties count for neither side), each run's fingerprint status,
+whether the two runs of a pair gave the same output digest, and the
+``machine:`` line. It is rewritten after every run. A run that exits
+non-zero or prints nothing is recorded under ``failure`` with its exit code
+and the tail of its stderr, and the comparison stops there with exit code 1.
 
     python3 tools/bench_pairs.py --base HEAD --out pairs.json
     python3 tools/bench_pairs.py --base HEAD~1 --workloads psc-subsystem --pairs 3 \\
@@ -44,7 +47,8 @@ def export_commit(rev: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
-    """One untraced benchmark run; its metrics, fingerprint and machine line."""
+    """One untraced benchmark run; its metrics, fingerprint and machine line,
+    or for a failed run its exit code and the tail of its stderr."""
     done = subprocess.run(
         [sys.executable, "hwbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -52,8 +56,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[s
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {done.returncode}: "
-                           f"{done.stderr.strip()[-500:]}")
+        return {"seed": seed, "exit_code": done.returncode, "stderr_tail": done.stderr[-2000:]}
     result = json.loads(lines[-1])
     info = {line.split(":", 1)[0]: line.split(":", 1)[1].strip()
             for line in lines[:-1] if ":" in line}
@@ -78,7 +81,12 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 
 def summarize(runs: Dict[str, List[Dict[str, object]]], metrics: List[dict]) -> Dict[str, object]:
-    """Medians, quartiles and pair wins per metric for one workload."""
+    """Medians, quartiles and pair wins per metric over one workload's
+    finished pairs."""
+    pairs = min(len(runs[side]) for side in SIDES)
+    if not pairs:
+        return {}
+    runs = {side: runs[side][:pairs] for side in SIDES}
     summary: Dict[str, object] = {}
     for spec in metrics:
         name, lower_is_better = spec["name"], spec["better"] == "lower"
@@ -97,6 +105,19 @@ def summarize(runs: Dict[str, List[Dict[str, object]]], metrics: List[dict]) -> 
             "pairs": len(values["base"]),
         }
     return summary
+
+
+def workload_summary(runs: Dict[str, List[Dict[str, object]]],
+                     metrics: List[dict]) -> Dict[str, object]:
+    """The summary of one workload's runs so far."""
+    return {
+        "metrics": summarize(runs, metrics),
+        "fingerprints": {side: [r["fingerprint"][1] for r in runs[side]] for side in SIDES},
+        "same_outputs": [b["fingerprint"][0] == c["fingerprint"][0]
+                         for b, c in zip(runs["base"], runs["change"])],
+        "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "seeds": [r["seed"] for r in runs["base"]],
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -118,6 +139,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "order": "base first on even pair numbers"},
         "workloads": {},
     }
+
+    def write_report() -> None:
+        Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_dir = Path(tmp)
         report["base"] = export_commit(args.base, base_dir)
@@ -130,20 +155,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     run = run_once(checkouts[side], workload, seed, seconds)
+                    if "exit_code" in run:
+                        report["failure"] = {"workload": workload, "side": side, **run}
+                        write_report()
+                        print(f"{workload} seed {seed} {side}: exited {run['exit_code']}\n"
+                              f"{run['stderr_tail']}", file=sys.stderr)
+                        return 1
                     runs[side].append(run)
                     report.setdefault("machine", run["machine"])
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
                           + " fingerprint={} {}".format(*run["fingerprint"]), flush=True)
-            report["workloads"][workload] = {
-                "metrics": summarize(runs, spec["end_to_end"]),
-                "fingerprints": {side: [r["fingerprint"][1] for r in runs[side]] for side in SIDES},
-                "same_outputs": [b["fingerprint"][0] == c["fingerprint"][0]
-                                 for b, c in zip(runs["base"], runs["change"])],
-                "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-                "seeds": [r["seed"] for r in runs["base"]],
-            }
-            Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+                    report["workloads"][workload] = workload_summary(runs, spec["end_to_end"])
+                    write_report()
     return 0
 
 
