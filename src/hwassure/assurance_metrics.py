@@ -224,26 +224,43 @@ def _delay_cell(cell: str) -> Tuple[float, ...]:
     return tuple(float(v) for v in cell.split(";"))
 
 
+def _flag(cell: str) -> bool:
+    cell = cell.strip()
+    if cell in ("1", "true", "True"):
+        return True
+    if cell in ("0", "false", "False"):
+        return False
+    raise ValueError(f"expected 1, true, True, 0, false or False, got {cell!r}")
+
+
+# column -> how its cells read
+_FSM_COLUMNS = {
+    "from": str.strip, "to": str.strip, "vulnerable": _flag,
+    "pv": _delay_cell, "po": _delay_cell, "p_fs": _delay_cell,
+}
+
+
 def fsm_from_csv(text: str) -> FsmSpec:
-    """Columns: from,to,vulnerable,pv,po,p_fs; delay sets ;-separated.
+    """Columns: from,to,vulnerable,pv,po,p_fs; delay sets ;-separated, and
+    ``vulnerable`` one of 1/true/True or 0/false/False.
 
     The design delay set may sit on any row; non-empty cells must agree.
     """
     transitions = []
     design: Optional[Tuple[float, ...]] = None
-    for row in csv_rows(text, ["from", "to", "vulnerable", "pv", "po", "p_fs"], "FSM"):
-        delays = _delay_cell(row["p_fs"])
+    for row in csv_rows(text, _FSM_COLUMNS, "FSM"):
+        delays = row["p_fs"]
         if delays:
             if design is not None and delays != design:
                 raise ValueError("conflicting design delay sets")
             design = delays
         transitions.append(
             FsmTransition(
-                source=row["from"].strip(),
-                target=row["to"].strip(),
-                vulnerable=row["vulnerable"].strip() in ("1", "true", "True"),
-                violated_delays=_delay_cell(row["pv"]),
-                safe_delays=_delay_cell(row["po"]),
+                source=row["from"],
+                target=row["to"],
+                vulnerable=row["vulnerable"],
+                violated_delays=row["pv"],
+                safe_delays=row["po"],
             )
         )
     if design is None:
@@ -321,5 +338,5 @@ def cdc(defects: Sequence[Tuple[float, float]]) -> float:
 
 def defects_from_csv(text: str) -> List[Tuple[float, float]]:
     """Columns: confidence,frequency."""
-    rows = csv_rows(text, ["confidence", "frequency"], "defect")
-    return [(float(r["confidence"]), float(r["frequency"])) for r in rows]
+    rows = csv_rows(text, {"confidence": float, "frequency": float}, "defect")
+    return [(r["confidence"], r["frequency"]) for r in rows]

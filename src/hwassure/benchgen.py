@@ -14,9 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Sequence
 
-from .netlist import Circuit, make_circuit
-
-_MULTI_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR")
+from .netlist import GATE_OPS, _UNARY_KINDS, Circuit, make_circuit
 
 
 def synth_circuit(
@@ -48,7 +46,7 @@ def synth_circuit(
 
     kinds: List[str] = []
     for kind, count in sorted(kind_counts.items()):
-        if kind not in ("NOT", "BUF") and kind not in _MULTI_KINDS:
+        if kind not in GATE_OPS:
             raise ValueError(f"unsupported kind {kind!r}")
         kinds.extend([kind] * count)
     rng.shuffle(kinds)
@@ -70,7 +68,7 @@ def synth_circuit(
         return chosen
 
     for idx, kind in enumerate(kinds):
-        if kind in ("NOT", "BUF"):
+        if kind in _UNARY_KINDS:
             arity = 1
         else:
             arity = 3 if (rng.random() < p_wide and len(pool) > 3) else 2

@@ -14,7 +14,17 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 import numpy as np
 
-GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF", "DFF")
+# The meaning of every combinational gate kind, read by scalar evaluation,
+# lane simulation and CNF encoding alike: kind -> (reduction over its
+# inputs, whether the result is inverted). BUF and NOT are one-input XOR and
+# XNOR.
+GATE_OPS = {
+    "AND": ("and", False), "NAND": ("and", True),
+    "OR": ("or", False), "NOR": ("or", True),
+    "XOR": ("xor", False), "XNOR": ("xor", True),
+    "NOT": ("xor", True), "BUF": ("xor", False),
+}
+GATE_KINDS = (*GATE_OPS, "DFF")
 _UNARY_KINDS = ("NOT", "BUF", "DFF")
 
 
@@ -273,13 +283,10 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         raise BenchParseError(str(exc)) from exc
 
 
-def load_bench(path: str, name: Optional[str] = None) -> Circuit:
+def load_bench(path: str) -> Circuit:
+    """The circuit in a bench file, named after the file without ``.bench``."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if name is None:
-        base = path.rsplit("/", 1)[-1]
-        name = base[:-6] if base.endswith(".bench") else base
-    return parse_bench(text, name=name)
+        return parse_bench(fh.read(), name=path.rsplit("/", 1)[-1].removesuffix(".bench"))
 
 
 def write_bench(circuit: Circuit) -> str:
@@ -299,24 +306,17 @@ def save_bench(circuit: Circuit, path: str) -> None:
 # -- evaluation --------------------------------------------------------------
 
 
-def _gate_value(kind: str, vals: Sequence[int]) -> int:
-    if kind == "AND":
-        return int(all(vals))
-    if kind == "NAND":
-        return int(not all(vals))
-    if kind == "OR":
-        return int(any(vals))
-    if kind == "NOR":
-        return int(not any(vals))
-    if kind == "XOR":
-        return sum(vals) & 1
-    if kind == "XNOR":
-        return (sum(vals) & 1) ^ 1
-    if kind == "NOT":
-        return vals[0] ^ 1
-    if kind == "BUF":
-        return vals[0]
-    raise NetlistError(f"cannot evaluate gate kind {kind!r}")
+# reduction -> its value over 0/1 inputs
+_SCALAR_REDUCTIONS = {"and": all, "or": any, "xor": lambda vals: sum(vals) & 1}
+
+
+def _gate_value(kind: str, vals: Iterable[int]) -> int:
+    """The output of a combinational gate of ``kind`` over 0/1 ``vals``."""
+    try:
+        op, inverted = GATE_OPS[kind]
+    except KeyError:
+        raise NetlistError(f"cannot evaluate gate kind {kind!r}") from None
+    return int(_SCALAR_REDUCTIONS[op](vals)) ^ inverted
 
 
 def evaluate(
@@ -356,8 +356,9 @@ def _evaluate_nets(
             if ff.output not in state:
                 raise NetlistError(f"missing state for flip-flop output {ff.output!r}")
             values[ff.output] = int(state[ff.output]) & 1
+    read = values.__getitem__
     for g in circuit.topo_gates():
-        values[g.output] = _gate_value(g.kind, [values[n] for n in g.inputs])
+        values[g.output] = _gate_value(g.kind, map(read, g.inputs))
     return values
 
 
@@ -369,13 +370,7 @@ def _evaluate_nets(
 # bits of the last word) carry garbage once an inverting gate has run; only
 # the caller's lanes are ever unpacked.
 
-# gate kind -> (reduction over its input rows, whether the result is inverted)
-_LANE_OPS = {
-    "AND": ("and", False), "NAND": ("and", True),
-    "OR": ("or", False), "NOR": ("or", True),
-    "XOR": ("xor", False), "XNOR": ("xor", True),
-    "BUF": ("xor", False), "NOT": ("xor", True),
-}
+# reduction -> its numpy reduction over a gate's input rows
 _REDUCTIONS = {
     "and": np.bitwise_and.reduce, "or": np.bitwise_or.reduce, "xor": np.bitwise_xor.reduce,
 }
@@ -424,7 +419,7 @@ class LaneProgram:
         groups: Dict[Tuple[int, str, int], List[Gate]] = {}
         for g in circuit.topo_gates():
             level[g.output] = lv = 1 + max(map(level_of, g.inputs))
-            groups.setdefault((lv, _LANE_OPS[g.kind][0], len(g.inputs)), []).append(g)
+            groups.setdefault((lv, GATE_OPS[g.kind][0], len(g.inputs)), []).append(g)
         keys = sorted(groups)
         sizes = [len(groups[key]) for key in keys]
         gates = [g for key in keys for g in groups[key]]
@@ -432,7 +427,7 @@ class LaneProgram:
         # One array each for all input rows and all inversion masks, built
         # once: the steps hold views into them.
         in_rows = np.array([row[n] for g in gates for n in g.inputs], dtype=np.intp)
-        inverted = np.array([_LANE_OPS[g.kind][1] for g in gates], dtype=bool)
+        inverted = np.array([GATE_OPS[g.kind][1] for g in gates], dtype=bool)
         masks = np.where(inverted, _ALL_ONES, np.uint64(0))[:, None]
         self._steps = []
         start = offset = 0

@@ -146,15 +146,15 @@ def windowed_toggle_samples(
 def _toggle_classes(circuit: Circuit) -> List[Tuple[int, np.ndarray]]:
     """(weight, rows) pairs whose weighted toggles add up to every net's.
 
-    A NOT or BUF output toggles exactly when its input does, once every
-    net holds the value its driver computes, so a chain of them is counted
-    through the row that drives it: a row standing for w nets goes into
-    the class of weight 2**j for every bit j set in w.
+    A one-input gate (NOT or BUF) toggles exactly when its input does,
+    once every net holds the value its driver computes, so a chain of them
+    is counted through the row that drives it: a row standing for w nets
+    goes into the class of weight 2**j for every bit j set in w.
     """
     row = circuit.lane_program().row
     source = list(range(len(row)))
     for g in circuit.topo_gates():
-        if g.kind in ("NOT", "BUF"):
+        if len(g.inputs) == 1:
             source[row[g.output]] = source[row[g.inputs[0]]]
     weight = np.bincount(source, minlength=len(row))
     classes = [

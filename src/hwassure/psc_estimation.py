@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .aes import CYCLES_PER_ENCRYPTION
 from .netlist import Circuit
 from .powersim import (
     PER_ENCRYPTION,
@@ -27,12 +28,7 @@ from .powersim import (
     simulate_subsystem,
     windowed_toggle_samples,
 )
-from .pscmetrics import (
-    DEFAULT_THRESHOLDS,
-    ScoreThresholds,
-    compare_profiles,
-    security_score,
-)
+from .pscmetrics import compare_profiles, security_score
 from .sat_estimation import nearest_neighbour
 from .tables import csv_rows
 
@@ -129,7 +125,6 @@ def build_profile_db(
     circuits: Sequence[Circuit],
     windows: int = 1000,
     seed: int = 0,
-    cycles_per_window: int = 11,
 ) -> ProfileDatabase:
     """Pre-simulate per-encryption toggle profiles under random stimulus.
 
@@ -143,7 +138,7 @@ def build_profile_db(
     entries = []
     for i, circuit in enumerate(circuits):
         stimulus_seed = seed + i
-        matrix = windowed_toggle_samples(circuit, stimulus_seed, windows, cycles_per_window)
+        matrix = windowed_toggle_samples(circuit, stimulus_seed, windows, CYCLES_PER_ENCRYPTION)
         entries.append(
             BenchmarkProfile(
                 attributes=attributes_of(circuit),
@@ -215,21 +210,18 @@ def composite_samples(
 def estimate_subsystem_score(
     aes_profile_pair: Tuple[SwitchingProfile, SwitchingProfile],
     mapped_profiles: Sequence[BenchmarkProfile],
-    thresholds: ScoreThresholds = DEFAULT_THRESHOLDS,
     draw_seed: int = 0,
-    bin_width: Optional[int] = None,
 ) -> Tuple[float, int]:
     """Estimated key-pair divergence of the composite subsystem, scored."""
     comp1, comp2 = composite_samples(aes_profile_pair, mapped_profiles, draw_seed)
-    js = compare_profiles(comp1, comp2, bin_width=bin_width)
-    return js, security_score(js, thresholds)
+    js = compare_profiles(comp1, comp2)
+    return js, security_score(js)
 
 
 def simulate_key_pair(
     config: SubsystemConfig,
     plaintext_seed: int,
     count: int,
-    key_pair: Tuple[bytes, bytes] = DEFAULT_KEY_PAIR,
     granularity: str = PER_ENCRYPTION,
 ) -> Tuple[
     Tuple[SwitchingProfile, Dict[str, SwitchingProfile]],
@@ -241,7 +233,7 @@ def simulate_key_pair(
     the crypto core's toggles change with the key.
     """
     plaintexts = generate_plaintexts(plaintext_seed, count)
-    run1, run2 = simulate_subsystem(config, key_pair, plaintexts, granularity)
+    run1, run2 = simulate_subsystem(config, DEFAULT_KEY_PAIR, plaintexts, granularity)
     return run1, run2
 
 
@@ -261,7 +253,9 @@ def save_profile_db(db: ProfileDatabase, directory: str) -> None:
 
 def load_profile_db(directory: str) -> ProfileDatabase:
     with open(os.path.join(directory, "index.csv")) as fh:
-        rows = csv_rows(fh.read(), DB_INDEX_HEADER.split(","), "profile index")
+        name_column, *count_columns = DB_INDEX_HEADER.split(",")
+        columns = {name_column: str, **dict.fromkeys(count_columns, int)}
+        rows = csv_rows(fh.read(), columns, "profile index")
     entries = []
     for row in rows:
         name, *counts, stimulus_seed = row.values()
@@ -271,10 +265,10 @@ def load_profile_db(directory: str) -> ProfileDatabase:
             raise ValueError(f"bad profile header for {name}")
         entries.append(
             BenchmarkProfile(
-                attributes=IpAttributes(**dict(zip(ATTRIBUTE_FIELDS, map(int, counts)))),
+                attributes=IpAttributes(**dict(zip(ATTRIBUTE_FIELDS, counts))),
                 profile=SwitchingProfile([int(v) for v in lines[1:]], "", PER_ENCRYPTION),
                 source_name=name,
-                stimulus_seed=int(stimulus_seed),
+                stimulus_seed=stimulus_seed,
             )
         )
     return ProfileDatabase(tuple(entries))

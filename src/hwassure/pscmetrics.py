@@ -191,7 +191,6 @@ def per_cycle_js_matrix(
     blocks_a: Mapping[str, Sequence[int]],
     blocks_b: Mapping[str, Sequence[int]],
     cycles_per_encryption: int,
-    bin_width: Optional[int] = None,
 ) -> Dict[str, List[float]]:
     """Per-cycle JS per block between two collections of per-cycle samples.
 
@@ -205,8 +204,7 @@ def per_cycle_js_matrix(
         a = np.asarray(blocks_a[name], dtype=np.int64).reshape(-1, cycles_per_encryption)
         b = np.asarray(blocks_b[name], dtype=np.int64).reshape(-1, cycles_per_encryption)
         out[name] = [
-            compare_profiles(a[:, t], b[:, t], bin_width=bin_width)
-            for t in range(cycles_per_encryption)
+            compare_profiles(a[:, t], b[:, t]) for t in range(cycles_per_encryption)
         ]
     return out
 

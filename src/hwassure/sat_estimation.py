@@ -20,7 +20,12 @@ import numpy as np
 from .netlist import CircuitMetadata
 from .tables import csv_rows
 
-DATASET_CSV_HEADER = "name,key_length,num_gates,num_pi,num_po,num_ffio,cr,elapsed_s,iterations"
+# dataset column -> how its cells read
+_DATASET_COLUMNS = {
+    "name": str, "key_length": int, "num_gates": int, "num_pi": int, "num_po": int,
+    "num_ffio": int, "cr": float, "elapsed_s": float, "iterations": int,
+}
+DATASET_CSV_HEADER = ",".join(_DATASET_COLUMNS)
 
 # multipliers below this are nonphysical fit artifacts; estimates are floored
 MULTIPLIER_FLOOR = 0.01
@@ -261,17 +266,10 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
 
 
 def records_from_csv(text: str) -> List[ExperimentRecord]:
-    out = []
-    for row in csv_rows(text, DATASET_CSV_HEADER.split(","), "dataset"):
-        out.append(
-            ExperimentRecord(
-                metadata_from_dict(row),
-                float(row["cr"]),
-                float(row["elapsed_s"]),
-                int(row["iterations"]),
-            )
-        )
-    return out
+    return [
+        ExperimentRecord(metadata_from_dict(row), row["cr"], row["elapsed_s"], row["iterations"])
+        for row in csv_rows(text, _DATASET_COLUMNS, "dataset")
+    ]
 
 
 def model_to_json(model: EstimationModel) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from ..netlist import Circuit, NetlistError
+from ..netlist import GATE_OPS, Circuit, NetlistError, _gate_value
 
 Clause = Tuple[int, ...]
 # A net's value during folding: a literal, or a constant as a bool.
@@ -35,70 +35,51 @@ class CnfFormula:
         return self.num_variables
 
 
-def _encode_gate(f: CnfFormula, kind: str, out: int, ins: Sequence[int]) -> None:
-    """Clauses for ``out`` = ``kind`` over two or more literals."""
-    if kind == "AND":
-        for x in ins:
-            f.add(-out, x)
-        f.add(out, *[-x for x in ins])
-    elif kind == "NAND":
-        for x in ins:
-            f.add(out, x)
-        f.add(-out, *[-x for x in ins])
-    elif kind == "OR":
-        for x in ins:
-            f.add(out, -x)
-        f.add(-out, *ins)
-    elif kind == "NOR":
-        for x in ins:
-            f.add(-out, -x)
-        f.add(out, *ins)
-    else:  # XOR, XNOR; encode_folded folds every other kind
+def _encode_gate(f: CnfFormula, op: str, inverted: bool, out: int, ins: Sequence[int]) -> None:
+    """Clauses for ``out`` = the ``op`` reduction over two or more literals,
+    inverted if ``inverted``."""
+    if op == "xor":
         acc = ins[0]
         for x in ins[1:-1]:
             t = f.new_var()
             _encode_xor2(f, t, acc, x, invert=False)
             acc = t
-        _encode_xor2(f, out, acc, ins[-1], invert=(kind == "XNOR"))
-
-
-# kind -> (controlling input value, output value it forces)
-_CONTROLLING = {"AND": (False, False), "NAND": (False, True), "OR": (True, True), "NOR": (True, False)}
+        _encode_xor2(f, out, acc, ins[-1], invert=inverted)
+        return
+    # y = AND(xs); an OR is the AND of the negated inputs, negated (De Morgan)
+    y, xs = (-out if inverted else out), ins
+    if op == "or":
+        y, xs = -y, [-x for x in ins]
+    for x in xs:
+        f.add(-y, x)
+    f.add(y, *[-x for x in xs])
 
 
 def encode_folded(f: CnfFormula, kind: str, ins: Sequence[Value]) -> Value:
     """Encode one gate over literal or constant inputs; returns its output.
 
     Constants are folded away: a controlling constant or all-constant
-    inputs give a constant, and a single free input gives that literal or
-    its negation. Otherwise the output is a fresh variable of ``f``,
-    encoded over the free inputs alone.
+    inputs give the gate evaluated on the constants, an XOR or XNOR takes
+    the constants' parity into its inversion, and a single free input gives
+    that literal or its negation. Otherwise the output is a fresh variable
+    of ``f``, encoded over the free inputs alone.
     """
+    try:
+        op, inverted = GATE_OPS[kind]
+    except KeyError:
+        raise NetlistError(f"cannot encode gate kind {kind!r}") from None
     lits = [x for x in ins if not isinstance(x, bool)]
-    consts = [x for x in ins if isinstance(x, bool)]
-    if kind in _CONTROLLING:
-        control, forced = _CONTROLLING[kind]
-        if control in consts:
-            return forced
-        invert = kind in ("NAND", "NOR")
-        if not lits:
-            return not forced
-    elif kind in ("XOR", "XNOR"):
-        invert = (sum(consts) + (kind == "XNOR")) % 2 == 1
-        if not lits:
-            return invert
-        kind = "XNOR" if invert else "XOR"
-    elif kind in ("NOT", "BUF"):
-        x = ins[0]
-        if kind == "BUF":
-            return x
-        return (not x) if isinstance(x, bool) else -x
-    else:
-        raise NetlistError(f"cannot encode gate kind {kind!r}")
+    if len(lits) < len(ins):
+        consts = [x for x in ins if isinstance(x, bool)]
+        # True is the controlling value of an OR, False that of an AND
+        if not lits or (op != "xor" and (op == "or") in consts):
+            return bool(_gate_value(kind, consts))
+        if op == "xor":
+            inverted ^= bool(sum(consts) & 1)
     if len(lits) == 1:
-        return -lits[0] if invert else lits[0]
+        return -lits[0] if inverted else lits[0]
     out = f.new_var()
-    _encode_gate(f, kind, out, lits)
+    _encode_gate(f, op, inverted, out, lits)
     return out
 
 

@@ -279,6 +279,14 @@ def test_fsm_csv_round_trip():
     assert abs(result.mean_susceptibility - 2 / 3) < 1e-12
 
 
+def test_fsm_csv_reads_vulnerable_words():
+    rows = "s0,s1,{},5,3,2;4\ns1,s0,{},,,\n"
+    header = "from,to,vulnerable,pv,po,p_fs\n"
+    want = fsm_from_csv(header + rows.format(1, 0))
+    for yes, no in (("true", "false"), ("True", "False"), (" 1", "0 ")):
+        assert fsm_from_csv(header + rows.format(yes, no)) == want
+
+
 def test_fsm_csv_validation():
     with pytest.raises(ValueError):
         fsm_from_csv("a,b\n1,2\n")
@@ -290,6 +298,8 @@ def test_fsm_csv_validation():
             "s0,s1,0,,,1;2\n"
             "s1,s0,0,,,3;4\n"
         )
+    with pytest.raises(ValueError, match="FSM line 2, column 'vulnerable'"):
+        fsm_from_csv("from,to,vulnerable,pv,po,p_fs\ns0,s1,yes,5,3,2;4\ns1,s0,0,,,\n")
 
 
 def test_puf_inter_hd_hand_values():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import stat
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwassure.benchgen import synth_circuit
-from hwassure.bundled import load_bundled
+from hwassure.bundled import bundled_names, load_bundled
 from hwassure.locking import LockedCircuit, LockingKey, evaluate_locked, insert_random_locking
 from hwassure.netlist import (
     batch_evaluate,
@@ -18,6 +19,7 @@ from hwassure.netlist import (
     index_input_matrix,
     make_circuit,
 )
+from hwassure.platform_model import frame
 from hwassure.satattack import (
     CdclSolver,
     CircuitOracle,
@@ -103,6 +105,40 @@ def test_platform_attack_decisions_are_pinned(key_length, cr, iterations, key):
     res = sat_attack(model, oracle, verify=False)
     assert res.status == "success"
     assert (res.iterations, res.recovered_key.as_string()) == (iterations, key)
+
+
+def test_clause_streams_are_pinned(monkeypatch):
+    # Recorded before gate semantics moved into one table. The clause order
+    # steers the solver's search, so a reordered, re-signed or extra clause
+    # shows here even where DIPs and conflict counts happen not to move
+    frames = hashlib.sha256()
+    for name in bundled_names():
+        f = tseitin_encode(frame(load_bundled(name)).frame)
+        frames.update(repr((name, f.num_variables, f.clauses, list(f.net_to_var.items()))).encode())
+    assert frames.hexdigest() == (
+        "55ecf4b3352ebe525405c8c1f11d1355719b22e907de6c2b1944fdbeab7fe6df"
+    )
+
+    added = []
+    add_clause = CdclSolver.add_clause
+
+    def spy(self, lits):
+        added.append(tuple(lits))
+        return add_clause(self, lits)
+
+    monkeypatch.setattr(CdclSolver, "add_clause", spy)
+    streams = {}
+    for design, key_length, cr in (("c17", 4, 1), ("s1423", 16, 4)):
+        added.clear()
+        model, oracle, _ = build_platform_instance(
+            load_bundled(design), key_length=key_length, cr=cr, seed=0
+        )
+        sat_attack(model, oracle, verify=False)
+        streams[design] = (len(added), hashlib.sha256(repr(added).encode()).hexdigest())
+    assert streams == {
+        "c17": (123, "a6226589bf37726589f411ea75ff4e6c6a81bcbf3fa12a0e3f830eb578125243"),
+        "s1423": (1547, "bbaa40ffb968642d92953d8e896ad822ba5b2be0105eb35fc533c25b55986cf9"),
+    }
 
 
 class RecordingSolver(CdclSolver):

@@ -328,6 +328,7 @@ def malformed_inputs(tmp_path_factory):
         ("cdc_short.csv", "confidence,frequency\n0.5\n"),
         ("cdc_long.csv", "confidence,frequency\n0.5,1,9\n"),
         ("fsm_short.csv", "from,to,vulnerable,pv,po,p_fs\ns0,s1,1\n"),
+        ("fsm_vulnerable_word.csv", "from,to,vulnerable,pv,po,p_fs\ns0,s1,yes,5,3,2;4\ns1,s0,0,,,\n"),
         ("records_short.csv", DATASET_CSV_HEADER + "\nc17,4,6\n"),
         ("db/index.csv", DB_INDEX_HEADER + "\nc17,5,2,0\n"),
     ):
@@ -359,6 +360,7 @@ def malformed_inputs(tmp_path_factory):
         ["metrics", "cdc", "--csv", "{bad}/cdc_short.csv"],
         ["metrics", "cdc", "--csv", "{bad}/cdc_long.csv"],
         ["metrics", "fsm-fi", "--csv", "{bad}/fsm_short.csv"],
+        ["metrics", "fsm-fi", "--csv", "{bad}/fsm_vulnerable_word.csv"],
         ["sat-fit", "--csv", "{bad}/records_short.csv", "--out", "{tmp}/model.json"],
         ["psc-estimate", "--config", "{bad}/psc.json", "--db", "{bad}/db"],
         ["sat-estimate", "--model", "{bad}/model_sub_models.json", "--bench", "pkg:c17",
@@ -371,6 +373,7 @@ def malformed_inputs(tmp_path_factory):
          "aes-enabled-not-bool", "null-key-length", "null-timeout", "null-channels",
          "string-max-iterations", "unknown-solver", "record-not-object",
          "empty-puf-responses", "short-defect-row", "long-defect-row", "short-fsm-row",
+         "unknown-vulnerable-flag",
          "short-dataset-row", "short-profile-index-row", "model-sub-models-not-list",
          "model-not-object"],
 )
@@ -382,6 +385,29 @@ def test_library_input_error_exits_2_with_one_error_line(
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, table, message",
+    [
+        (["metrics", "cdc"], "confidence,frequency\nx,2\n", "defect line 2, column 'confidence'"),
+        (["sat-fit", "--out", "{tmp}/model.json"],
+         DATASET_CSV_HEADER + "\nc17,x,6,5,2,0,1,0.1,3\n", "dataset line 2, column 'key_length'"),
+        (["metrics", "fsm-fi"],
+         "from,to,vulnerable,pv,po,p_fs\ns0,s1,1,a,3,2;4\ns1,s0,0,,,\n", "FSM line 2, column 'pv'"),
+    ],
+    ids=["defect-confidence", "dataset-key-length", "fsm-delay"],
+)
+def test_bad_table_cell_error_names_table_line_and_column(
+    argv, table, message, tmp_path, tmp_path_factory, capsys
+):
+    path = tmp_path_factory.mktemp("tables") / "table.csv"
+    path.write_text(table)
+    code = main([a.format(tmp=tmp_path) for a in argv] + ["--csv", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
