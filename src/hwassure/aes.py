@@ -34,17 +34,22 @@ def _gf_mul(a: int, b: int) -> int:
     return p
 
 
+def _gf_inverse(x: int) -> int:
+    """x^254 by square-and-multiply: the inverse of x in GF(2^8), and 0 for
+    x = 0. Since 254 = 2 + 4 + ... + 128, x^254 is the product of x^2,
+    x^4, ..., x^128, each the square of the one before."""
+    power, inverse = x, 1
+    for _ in range(7):
+        power = _gf_mul(power, power)
+        inverse = _gf_mul(inverse, power)
+    return inverse
+
+
 def _build_sbox() -> np.ndarray:
     """S-box from first principles: GF(2^8) inversion then the affine map."""
-    inv = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inv[x] = y
-                break
     box = np.zeros(256, dtype=np.uint8)
     for x in range(256):
-        b = inv[x]
+        b = _gf_inverse(x)
         r = 0x63
         for shift in (0, 1, 2, 3, 4):
             r ^= ((b << shift) | (b >> (8 - shift))) & 0xFF if shift else b
@@ -58,8 +63,6 @@ _XTIME = np.array(
     [((x << 1) ^ 0x1B if x & 0x80 else x << 1) & 0xFF for x in range(256)],
     dtype=np.uint8,
 )
-
-_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
 
 # flat state layout is column-major (byte i = row i%4, column i//4)
 _SHIFT_ROWS = np.array(
@@ -112,7 +115,18 @@ def _to_batch(plaintexts: Sequence[bytes]) -> np.ndarray:
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _POPCOUNT[a ^ b].sum(axis=1, dtype=np.int64)
+    """Bits that differ in each row of two (n, 16) uint8 arrays, counted
+    on the rows' two 8-byte words. The difference is made row-major: the
+    last round's state comes from the ShiftRows gather, which numpy lays
+    out column-major, and a word view needs contiguous rows."""
+    words = np.bitwise_xor(a, b, order="C").view(np.uint64)
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _bit_flips(a: np.ndarray, b: np.ndarray) -> int:
+    """Bits that differ between two registers that every encryption of a
+    batch shares."""
+    return int(np.bitwise_count(a ^ b).sum())
 
 
 def aes128_encrypt_batch(
@@ -131,21 +145,18 @@ def aes128_encrypt_batch(
     n = pts.shape[0]
     toggles = np.zeros((n, CYCLES_PER_ENCRYPTION), dtype=np.int64)
 
-    # reset values: every register starts at zero
+    # reset values: every register starts at zero. The s-box bus is the
+    # 16 state bytes of each encryption plus 4 key-schedule bytes that
+    # every encryption shares, so those 4 are counted once per cycle.
     state_prev = np.zeros((n, 16), dtype=np.uint8)
     key_prev = np.zeros(16, dtype=np.uint8)
-    bus_prev = np.zeros((n, 20), dtype=np.uint8)
+    sub_prev = np.zeros((n, 16), dtype=np.uint8)
 
     # load cycle: initial AddRoundKey, key register loads, s-box bus idle
-    state = pts ^ schedule[0][0]
-    key_reg = schedule[0][0]
-    bus = np.zeros((n, 20), dtype=np.uint8)
-    toggles[:, 0] = (
-        _hamming(state, state_prev)
-        + int(_POPCOUNT[key_reg ^ key_prev].sum())
-        + _hamming(bus, bus_prev)
-    )
-    state_prev, key_prev, bus_prev = state, key_reg, bus
+    key_reg, key_sbox_prev = schedule[0]
+    state = pts ^ key_reg
+    toggles[:, 0] = _hamming(state, state_prev) + _bit_flips(key_reg, key_prev)
+    state_prev, key_prev = state, key_reg
 
     for rnd in range(1, 11):
         key_reg, key_sbox = schedule[rnd]
@@ -153,13 +164,9 @@ def aes128_encrypt_batch(
         shifted = sub[:, _SHIFT_ROWS]
         mixed = _mix_columns(shifted) if rnd < 10 else shifted
         state = mixed ^ key_reg
-        bus = np.concatenate([sub, np.broadcast_to(key_sbox, (n, 4))], axis=1)
-        toggles[:, rnd] = (
-            _hamming(state, state_prev)
-            + int(_POPCOUNT[key_reg ^ key_prev].sum())
-            + _hamming(bus, bus_prev)
-        )
-        state_prev, key_prev, bus_prev = state, key_reg, bus
+        shared = _bit_flips(key_reg, key_prev) + _bit_flips(key_sbox, key_sbox_prev)
+        toggles[:, rnd] = _hamming(state, state_prev) + _hamming(sub, sub_prev) + shared
+        state_prev, key_prev, sub_prev, key_sbox_prev = state, key_reg, sub, key_sbox
 
     return state_prev, toggles
 

@@ -18,7 +18,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .assurance_metrics import (
@@ -287,8 +286,10 @@ def _write_attack_outputs(records: List[Record], out_dir: str) -> None:
             fh.write(records_to_csv(measurements))
 
 
-# Run limits of an attack: field, test, and what the test asks for.
+# Parameters and run limits of an attack: field, test, and what the test
+# asks for.
 _ATTACK_LIMITS = (
+    ("cr", lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
     ("timeout_s", lambda v: type(v) in (int, float) and v > 0, "a positive number"),
     ("max_iterations", lambda v: v is None or (type(v) is int and v > 0),
      "a positive integer or null"),
@@ -300,8 +301,9 @@ def _attack_cell(
     bench: object, key_length: int, cr: int, seed: int, settings: Mapping[str, object]
 ) -> Record:
     """One attack job. ``settings`` is the batch config or, in single mode,
-    the parsed arguments; either supplies the run limits, and a limit of
-    the wrong type or out of range raises ``ValueError`` naming it."""
+    the parsed arguments; either supplies the run limits. A compression
+    ratio or a limit of the wrong type or out of range raises
+    ``ValueError`` naming it, before any attack runs."""
     job = {
         "bench": bench,
         "key_length": key_length,
@@ -314,7 +316,7 @@ def _attack_cell(
     }
     for field, valid, what in _ATTACK_LIMITS:
         if not valid(job[field]):
-            raise ValueError(f"attack limit {field!r} must be {what}, got {job[field]!r}")
+            raise ValueError(f"attack setting {field!r} must be {what}, got {job[field]!r}")
     job["timeout_s"] = float(job["timeout_s"])
     return job
 
@@ -343,11 +345,17 @@ def _batch_jobs(config: Record) -> List[Record]:
 
 
 def cmd_attack(args) -> Union[Record, int]:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             jobs = _batch_jobs(json.load(fh))
         out_dir = _out_root(args.out)
         if args.workers > 1:
+            # imported here: the process pool pulls in multiprocessing,
+            # socket and selectors, which only a parallel batch needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 records = list(pool.map(_attack_job, jobs))
         else:

@@ -260,13 +260,13 @@ def load_profile_db(directory: str) -> ProfileDatabase:
     for row in rows:
         name, *counts, stimulus_seed = row.values()
         with open(os.path.join(directory, f"{name}.csv")) as fh:
-            lines = fh.read().strip().split("\n")
-        if lines[0] != "toggles":
-            raise ValueError(f"bad profile header for {name}")
+            samples = csv_rows(fh.read(), {"toggles": int}, f"profile {name}.csv")
         entries.append(
             BenchmarkProfile(
                 attributes=IpAttributes(**dict(zip(ATTRIBUTE_FIELDS, counts))),
-                profile=SwitchingProfile([int(v) for v in lines[1:]], "", PER_ENCRYPTION),
+                profile=SwitchingProfile(
+                    [sample["toggles"] for sample in samples], "", PER_ENCRYPTION
+                ),
                 source_name=name,
                 stimulus_seed=stimulus_seed,
             )

@@ -24,8 +24,6 @@ while its variable is unassigned.
 from __future__ import annotations
 
 import os
-import subprocess
-import tempfile
 import time
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -545,6 +543,10 @@ class DimacsSolver:
     ) -> bool:
         """True: self.model holds an assignment. False: unsatisfiable under
         the assumptions. The time budget bounds the external process."""
+        # imported here: only an external solver starts a process
+        import subprocess
+        import tempfile
+
         self.model = None
         if max_conflicts is not None:
             raise ValueError("an external solver takes no conflict budget")

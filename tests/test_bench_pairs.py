@@ -61,3 +61,30 @@ def test_pairs_are_cut_to_the_shorter_side(longer):
 
 def test_no_finished_pair_gives_an_empty_summary():
     assert bench_pairs.summarize({"base": runs([1.0], [1.0]), "change": []}, METRICS) == {}
+
+
+def recorded_run(seed, wall_s, attempted):
+    return {"seed": seed, "metrics": {"wall_s": 1.0, "success_ratio": 1.0},
+            "attempted": attempted, "failed": 0, "process_wall_s": wall_s,
+            "fingerprint": ["abc", "match"], "machine": "m"}
+
+
+def test_workload_summary_gives_each_sides_median_run_cost():
+    summary = bench_pairs.workload_summary(
+        {
+            "base": [recorded_run(0, 30.0, 100), recorded_run(1, 34.0, 104),
+                     recorded_run(2, 31.0, 90)],
+            "change": [recorded_run(0, 29.0, 100), recorded_run(1, 28.0, 98)],
+        },
+        METRICS,
+    )
+    assert summary["run_cost"] == {
+        "base": {"process_wall_s": 31.0, "attempted": 100},
+        "change": {"process_wall_s": 28.5, "attempted": 99},
+    }
+    # before the change's first run, only the base side has a cost
+    first = bench_pairs.workload_summary(
+        {"base": [recorded_run(0, 30.0, 100)], "change": []}, METRICS
+    )
+    assert first["run_cost"]["change"] == {"process_wall_s": None, "attempted": None}
+    assert first["metrics"] == {}

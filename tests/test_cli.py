@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hwassure.cli import main, stable_digest
+from hwassure.cli import build_parser, cmd_attack, main, stable_digest
 from hwassure.locking import load_locked
 from hwassure.netlist import load_bench
 from hwassure.psc_estimation import DB_INDEX_HEADER
@@ -298,6 +298,44 @@ def test_out_of_range_attack_limit_exits_2_naming_the_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cr", [-1, 0])
+@pytest.mark.parametrize("mode", ["grid", "single"])
+def test_compression_ratio_below_1_exits_2_before_any_attack(mode, cr, tmp_path, capsys):
+    # c17 is combinational, so no scan topology is built that would check the CR
+    out = tmp_path / "out"
+    if mode == "grid":
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"benches": ["pkg:c17"], "key_lengths": [2],
+                                      "crs": [1, cr], "seeds": [0]}))
+        argv = ["attack", "--config", str(config), "--out", str(out)]
+    else:
+        argv = ["attack", "--bench", "pkg:c17", "--key-length", "2", "--cr", str(cr),
+                "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'cr'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_1_exits_2_before_any_attack(workers, tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"benches": ["pkg:c17"], "key_lengths": [2],
+                                  "crs": [1], "seeds": [0]}))
+    out = tmp_path / "out"
+    args = build_parser().parse_args(
+        ["attack", "--config", str(config), "--workers", str(workers), "--out", str(out)]
+    )
+    with pytest.raises(ValueError, match="--workers must be at least 1"):
+        cmd_attack(args)
+    assert main(["attack", "--bench", "pkg:c17", "--key-length", "2",
+                 "--workers", str(workers), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture
 def malformed_inputs(tmp_path_factory):
     """Inputs of the wrong JSON shape, kept outside ``tmp_path`` so that a
@@ -331,6 +369,8 @@ def malformed_inputs(tmp_path_factory):
         ("fsm_vulnerable_word.csv", "from,to,vulnerable,pv,po,p_fs\ns0,s1,yes,5,3,2;4\ns1,s0,0,,,\n"),
         ("records_short.csv", DATASET_CSV_HEADER + "\nc17,4,6\n"),
         ("db/index.csv", DB_INDEX_HEADER + "\nc17,5,2,0\n"),
+        ("db_sample/index.csv", DB_INDEX_HEADER + "\ns298,3,6,14,44,75,31,9,16,19,0\n"),
+        ("db_sample/s298.csv", "toggles\n5\nx7\n"),
     ):
         (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(text)
@@ -363,6 +403,7 @@ def malformed_inputs(tmp_path_factory):
         ["metrics", "fsm-fi", "--csv", "{bad}/fsm_vulnerable_word.csv"],
         ["sat-fit", "--csv", "{bad}/records_short.csv", "--out", "{tmp}/model.json"],
         ["psc-estimate", "--config", "{bad}/psc.json", "--db", "{bad}/db"],
+        ["psc-estimate", "--config", "{bad}/psc.json", "--db", "{bad}/db_sample"],
         ["sat-estimate", "--model", "{bad}/model_sub_models.json", "--bench", "pkg:c17",
          "--key-length", "2", "--cr", "1", "--ip-seconds", "1"],
         ["sat-estimate", "--model", "{bad}/model_list.json", "--bench", "pkg:c17",
@@ -374,7 +415,8 @@ def malformed_inputs(tmp_path_factory):
          "string-max-iterations", "unknown-solver", "record-not-object",
          "empty-puf-responses", "short-defect-row", "long-defect-row", "short-fsm-row",
          "unknown-vulnerable-flag",
-         "short-dataset-row", "short-profile-index-row", "model-sub-models-not-list",
+         "short-dataset-row", "short-profile-index-row", "bad-profile-sample",
+         "model-sub-models-not-list",
          "model-not-object"],
 )
 def test_library_input_error_exits_2_with_one_error_line(

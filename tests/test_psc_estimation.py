@@ -299,6 +299,18 @@ def test_db_round_trip(tmp_path):
     )
 
 
+def test_db_load_names_the_file_line_and_column_of_a_bad_sample(tmp_path):
+    directory = str(tmp_path / "db")
+    save_profile_db(build_profile_db([load_bundled("s298")], windows=4, seed=0), directory)
+    sample_file = tmp_path / "db" / "s298.csv"
+    lines = sample_file.read_text().splitlines()
+    lines[2] = "x7"
+    sample_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^profile s298\.csv line 3, column 'toggles': "
+                                         r"invalid literal for int\(\) .*'x7'$"):
+        load_profile_db(directory)
+
+
 def test_db_load_rejects_bad_header(tmp_path):
     directory = tmp_path / "db"
     directory.mkdir()

@@ -8,10 +8,12 @@ names and which direction is better come from ``BENCHMARK.json``.
 The summary, written as JSON, gives per workload and metric each side's
 median, quartiles and quartile distance over the finished pairs, the pair
 win counts (ties count for neither side), each run's fingerprint status,
-whether the two runs of a pair gave the same output digest, and the
-``machine:`` line. It is rewritten after every run. A run that exits
-non-zero or prints nothing is recorded under ``failure`` with its exit code
-and the tail of its stderr, and the comparison stops there with exit code 1.
+whether the two runs of a pair gave the same output digest, each side's
+median process wall time and op count per run (what the comparison
+costs), and the ``machine:`` line. It is rewritten after every run. A run
+that exits non-zero or prints nothing is recorded under ``failure`` with
+its exit code and the tail of its stderr, and the comparison stops there
+with exit code 1.
 
     python3 tools/bench_pairs.py --base HEAD --out pairs.json
     python3 tools/bench_pairs.py --base HEAD~1 --workloads psc-subsystem --pairs 3 \\
@@ -29,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -47,13 +50,16 @@ def export_commit(rev: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
-    """One untraced benchmark run; its metrics, fingerprint and machine line,
-    or for a failed run its exit code and the tail of its stderr."""
+    """One untraced benchmark run; its metrics, op count, process wall time,
+    fingerprint and machine line, or for a failed run its exit code and the
+    tail of its stderr."""
+    started = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "hwbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
+    process_wall_s = time.perf_counter() - started
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"seed": seed, "exit_code": done.returncode, "stderr_tail": done.stderr[-2000:]}
@@ -65,6 +71,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[s
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "process_wall_s": process_wall_s,
         # "<sha256> <match|changed|unrecorded>"; digests compare sides
         # on seeds without a stored reference
         "fingerprint": info.get("fingerprint", "missing missing").split(),
@@ -116,6 +123,11 @@ def workload_summary(runs: Dict[str, List[Dict[str, object]]],
         "same_outputs": [b["fingerprint"][0] == c["fingerprint"][0]
                          for b, c in zip(runs["base"], runs["change"])],
         "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "run_cost": {
+            side: {field: statistics.median(r[field] for r in runs[side]) if runs[side] else None
+                   for field in ("process_wall_s", "attempted")}
+            for side in SIDES
+        },
         "seeds": [r["seed"] for r in runs["base"]],
     }
 
